@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,8 +57,6 @@ ENERGY_HEADER = "step,t,tau,original_energy,modified_energy,R,w_norm_sq"
 SPECTRUM_HEADER = "kx,ky,amplitude"
 RATES_HEADER = "scheme,NT,error,rate"
 
-_REQUIRED = object()
-
 
 def dodecagonal_projection() -> np.ndarray:
     """Projection matrix for 12-fold planar symmetry in a 4-d embedding:
@@ -73,21 +71,21 @@ def dodecagonal_projection() -> np.ndarray:
     )
 
 
-# -- config value converters --------------------------------------------------
+# -- config values: parsers and formatters ---------------------------------------
 
 
-def _c_int(v: str) -> int:
-    try:
-        return int(v)
-    except ValueError as exc:
-        raise ConfigError(f"expected integer, got {v!r}") from exc
+def _c_number(cast, what: str):
+    def parse(v: str):
+        try:
+            return cast(v)
+        except ValueError as exc:
+            raise ConfigError(f"expected {what}, got {v!r}") from exc
+
+    return parse
 
 
-def _c_float(v: str) -> float:
-    try:
-        return float(v)
-    except ValueError as exc:
-        raise ConfigError(f"expected number, got {v!r}") from exc
+_c_int = _c_number(int, "integer")
+_c_float = _c_number(float, "number")
 
 
 def _c_bool(v: str) -> bool:
@@ -99,23 +97,10 @@ def _c_bool(v: str) -> bool:
     raise ConfigError(f"expected boolean, got {v!r}")
 
 
-def _c_ints(v: str) -> Tuple[int, ...]:
-    return tuple(_c_int(t) for t in v.split())
-
-
-def _c_floats(v: str) -> Tuple[float, ...]:
-    return tuple(_c_float(t) for t in v.split())
-
-
-def _c_str(v: str) -> str:
-    return v
-
-
-def _c_strs(v: str) -> Tuple[str, ...]:
-    return tuple(v.split())
-
-
-def _c_matrix(v: str) -> np.ndarray:
+def _c_matrix(v: str):
+    # 'identity' needs n from another key; ProjectionCfg.check resolves it.
+    if v.strip().lower() == "identity":
+        return "identity"
     rows = [r.strip() for r in v.split(";")]
     data = [[_c_float(t) for t in r.split()] for r in rows if r]
     if not data:
@@ -126,6 +111,19 @@ def _c_matrix(v: str) -> np.ndarray:
     return np.array(data, dtype=float)
 
 
+def _c_modes(v: str) -> List[Tuple[Tuple[int, ...], float, float]]:
+    modes = []
+    for row in filter(None, (r.strip() for r in v.split(";"))):
+        tokens = row.split()
+        if len(tokens) < 3:
+            raise ConfigError(f"mode rows need indices, amplitude and phase; got {row!r}")
+        h = tuple(_c_int(t) for t in tokens[:-2])
+        modes.append((h, _c_float(tokens[-2]), _c_float(tokens[-1])))
+    if not modes:
+        raise ConfigError("mode list is empty")
+    return modes
+
+
 def _fmt_float(x: float) -> str:
     return repr(float(x))
 
@@ -134,20 +132,55 @@ def _fmt_matrix(m: np.ndarray) -> str:
     return " ; ".join(" ".join(_fmt_float(v) for v in row) for row in np.atleast_2d(m))
 
 
+def _fmt_modes(modes) -> str:
+    return " ; ".join(
+        " ".join(str(v) for v in h) + f" {_fmt_float(a)} {_fmt_float(ph)}" for h, a, ph in modes
+    )
+
+
+# (parse, format) pair of each value type
+_INT = (_c_int, str)
+_FLOAT = (_c_float, _fmt_float)
+_STR = (str, str)
+_BOOL = (_c_bool, lambda b: "true" if b else "false")
+_INTS = (lambda v: tuple(_c_int(t) for t in v.split()), lambda vs: " ".join(map(str, vs)))
+_FLOATS = (lambda v: tuple(_c_float(t) for t in v.split()), lambda vs: " ".join(map(_fmt_float, vs)))
+_STRS = (lambda v: tuple(v.split()), " ".join)
+_MATRIX = (_c_matrix, _fmt_matrix)
+_MODES = (_c_modes, _fmt_modes)
+
+_SCHEMES = ("sav_cn", "sav_cn_sdc")
+
+
 # -- config sections -----------------------------------------------------------
+# Each section is a dataclass whose field defaults are the config defaults.
+# check() runs the section's cross-field checks once the file is parsed.
+
+
+class _Section:
+    def check(self, projection: ProjectionCfg) -> None:
+        pass
 
 
 @dataclass
-class ProjectionCfg:
+class ProjectionCfg(_Section):
     d: int
     n: int
     P: np.ndarray
     B: np.ndarray
     sizes: Tuple[int, ...]
 
+    def check(self, projection) -> None:
+        if isinstance(self.P, str):
+            if self.d != self.n:
+                raise ConfigError("'identity' projections need d == n")
+            self.P = np.eye(self.n)
+        if isinstance(self.B, str):
+            self.B = np.eye(self.n)
+
 
 @dataclass
-class ModelCfg:
+class ModelCfg(_Section):
     eps: float
     alpha: float
     q: Optional[Tuple[float, ...]] = None
@@ -156,24 +189,44 @@ class ModelCfg:
 
 
 @dataclass
-class TimeCfg:
+class TimeCfg(_Section):
     T: float
     nt: int
     scheme: str = "sav_cn"
     sweeps: int = 1
     block: int = 4096
 
+    def check(self, projection) -> None:
+        if self.scheme not in _SCHEMES:
+            raise ConfigError(f"[time] scheme must be sav_cn or sav_cn_sdc, got {self.scheme!r}")
+        if self.T <= 0 or self.nt < 1:
+            raise ConfigError("[time] needs T > 0 and nt >= 1")
+
 
 @dataclass
-class InitialCfg:
+class InitialCfg(_Section):
     kind: str
     amplitude: float = 1.0
     modes: Optional[List[Tuple[Tuple[int, ...], float, float]]] = None
     file: Optional[str] = None
 
+    def check(self, projection) -> None:
+        if self.kind not in {"sine", "mode_list", "field_file"}:
+            raise ConfigError(
+                f"[initial] kind must be sine, mode_list or field_file, got {self.kind!r}"
+            )
+        if self.kind == "mode_list" and self.modes is None:
+            raise ConfigError("[initial] mode_list needs a 'modes' key")
+        if self.kind == "field_file" and self.file is None:
+            raise ConfigError("[initial] field_file needs a 'file' key")
+        n = projection.n
+        for h, _, _ in self.modes or ():
+            if len(h) != n:
+                raise ConfigError(f"[initial] mode rows need {n} indices, amplitude and phase; got {h}")
+
 
 @dataclass
-class OutputCfg:
+class OutputCfg(_Section):
     dir: str = "."
     energy_csv: str = "energy.csv"
     dump_times: Tuple[float, ...] = ()
@@ -181,27 +234,45 @@ class OutputCfg:
 
 
 @dataclass
-class RenderCfg:
+class RenderCfg(_Section):
     window: Tuple[float, ...]
     resolution: Tuple[int, ...]
     floor_rel: float = 1e-8
 
+    def check(self, projection) -> None:
+        d = projection.d
+        if len(self.window) != 2 * d or len(self.resolution) != d:
+            raise ConfigError(f"[render] window needs {2 * d} numbers and resolution {d}")
+
 
 @dataclass
-class SpectrumCfg:
+class SpectrumCfg(_Section):
     threshold_rel: float = 0.1
 
+    def check(self, projection) -> None:
+        if not self.threshold_rel > 0:
+            raise ConfigError("[spectrum] threshold_rel must be positive")
+
 
 @dataclass
-class ConvergenceCfg:
+class ConvergenceCfg(_Section):
     nt_list: Tuple[int, ...]
     reference_nt: int
-    schemes: Tuple[str, ...] = ("sav_cn", "sav_cn_sdc")
+    schemes: Tuple[str, ...] = _SCHEMES
     csv: str = "rates.csv"
+
+    def check(self, projection) -> None:
+        bad = [s for s in self.schemes if s not in _SCHEMES]
+        if bad:
+            raise ConfigError(f"[convergence] unknown schemes {bad}")
+        if not self.nt_list:
+            raise ConfigError("[convergence] nt_list is empty")
+        if self.reference_nt <= max(self.nt_list):
+            raise ConfigError("[convergence] reference_nt must exceed every tested nt")
 
 
 @dataclass
-class ScalesCfg:
+class ScalesCfg(_Section):
     m_list: Tuple[int, ...]
     s: float = 2.0 * math.cos(math.pi / 12.0)
     amplitude: float = 0.3
@@ -209,6 +280,10 @@ class ScalesCfg:
     noise: float = 0.0
     seed: int = 0
     ring_tol: float = 1e-8
+
+    def check(self, projection) -> None:
+        if any(m < 1 for m in self.m_list):
+            raise ConfigError("[scales] m_list entries must be >= 1")
 
 
 @dataclass
@@ -250,6 +325,40 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
+# section -> (dataclass, {key: (parse, format)}), both in file order
+_SECTIONS = {
+    "projection": (ProjectionCfg, {"d": _INT, "n": _INT, "P": _MATRIX, "B": _MATRIX, "sizes": _INTS}),
+    "model": (ModelCfg, {"q": _FLOATS, "eps": _FLOAT, "alpha": _FLOAT, "c1": _FLOAT, "dealias": _BOOL}),
+    "time": (TimeCfg, {"T": _FLOAT, "nt": _INT, "scheme": _STR, "sweeps": _INT, "block": _INT}),
+    "initial": (InitialCfg, {"kind": _STR, "amplitude": _FLOAT, "modes": _MODES, "file": _STR}),
+    "output": (
+        OutputCfg,
+        {"dir": _STR, "energy_csv": _STR, "dump_times": _FLOATS, "dump_prefix": _STR},
+    ),
+    "render": (RenderCfg, {"window": _FLOATS, "resolution": _INTS, "floor_rel": _FLOAT}),
+    "spectrum": (SpectrumCfg, {"threshold_rel": _FLOAT}),
+    "convergence": (
+        ConvergenceCfg,
+        {"nt_list": _INTS, "reference_nt": _INT, "schemes": _STRS, "csv": _STR},
+    ),
+    "scales": (
+        ScalesCfg,
+        {
+            "m_list": _INTS, "s": _FLOAT, "amplitude": _FLOAT, "jitter": _FLOAT,
+            "noise": _FLOAT, "seed": _INT, "ring_tol": _FLOAT,
+        },
+    ),
+}
+
+
+def _defaults(cls) -> dict:
+    """Field name -> default, with MISSING for fields that have none."""
+    return {
+        f.name: f.default_factory() if f.default_factory is not MISSING else f.default
+        for f in fields(cls)
+    }
+
+
 def _parse_sections(text: str) -> dict:
     sections: dict = {}
     current = None
@@ -277,288 +386,60 @@ def _parse_sections(text: str) -> dict:
     return sections
 
 
-def _take(section: str, raw: dict, key: str, conv, default=_REQUIRED):
-    if key in raw:
-        value = raw.pop(key)
-        try:
-            return conv(value)
-        except ConfigError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    if default is _REQUIRED:
-        raise ConfigError(f"[{section}] missing required key {key!r}")
-    return default
-
-
-def _reject_leftover(section: str, raw: dict) -> None:
-    if raw:
-        raise ConfigError(f"[{section}] unknown keys: {sorted(raw)}")
-
-
-def _parse_modes(value: str, n: int) -> List[Tuple[Tuple[int, ...], float, float]]:
-    modes = []
-    for row in value.split(";"):
-        row = row.strip()
-        if not row:
-            continue
-        tokens = row.split()
-        if len(tokens) != n + 2:
-            raise ConfigError(
-                f"mode rows need {n} indices, amplitude and phase; got {row!r}"
-            )
-        h = tuple(_c_int(t) for t in tokens[:n])
-        modes.append((h, _c_float(tokens[n]), _c_float(tokens[n + 1])))
-    if not modes:
-        raise ConfigError("mode list is empty")
-    return modes
+def _parse_section(name: str, raw: dict):
+    cls, keys = _SECTIONS[name]
+    defaults = _defaults(cls)
+    values = {}
+    for key, (parse, _) in keys.items():
+        if key in raw:
+            try:
+                values[key] = parse(raw[key])
+            except ConfigError as exc:
+                raise ConfigError(f"[{name}] {key}: {exc}") from exc
+        elif defaults[key] is MISSING:
+            raise ConfigError(f"[{name}] missing required key {key!r}")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"[{name}] unknown keys: {sorted(unknown)}")
+    return cls(**values)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError on any problem."""
     sections = _parse_sections(text)
-
-    known = {
-        "projection",
-        "model",
-        "time",
-        "initial",
-        "output",
-        "render",
-        "spectrum",
-        "convergence",
-        "scales",
-    }
-    unknown = set(sections) - known
+    unknown = set(sections) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown sections: {sorted(unknown)}")
-    if "projection" not in sections:
-        raise ConfigError("missing required section [projection]")
-    if "model" not in sections:
-        raise ConfigError("missing required section [model]")
-
-    raw = dict(sections["projection"])
-    d = _take("projection", raw, "d", _c_int)
-    n = _take("projection", raw, "n", _c_int)
-
-    def mat(value: str) -> np.ndarray:
-        if value.strip().lower() == "identity":
-            if d != n:
-                raise ConfigError("'identity' projections need d == n")
-            return np.eye(n)
-        return _c_matrix(value)
-
-    P = _take("projection", raw, "P", mat)
-    B = _take("projection", raw, "B", lambda v: np.eye(n) if v.strip().lower() == "identity" else _c_matrix(v))
-    sizes = _take("projection", raw, "sizes", _c_ints)
-    _reject_leftover("projection", raw)
-    projection = ProjectionCfg(d=d, n=n, P=P, B=B, sizes=sizes)
-
-    raw = dict(sections["model"])
-    model = ModelCfg(
-        q=_take("model", raw, "q", _c_floats, None),
-        eps=_take("model", raw, "eps", _c_float),
-        alpha=_take("model", raw, "alpha", _c_float),
-        c1=_take("model", raw, "c1", _c_float, 1e16),
-        dealias=_take("model", raw, "dealias", _c_bool, False),
-    )
-    _reject_leftover("model", raw)
-
-    time_cfg = None
-    if "time" in sections:
-        raw = dict(sections["time"])
-        time_cfg = TimeCfg(
-            T=_take("time", raw, "T", _c_float),
-            nt=_take("time", raw, "nt", _c_int),
-            scheme=_take("time", raw, "scheme", _c_str, "sav_cn"),
-            sweeps=_take("time", raw, "sweeps", _c_int, 1),
-            block=_take("time", raw, "block", _c_int, 4096),
-        )
-        _reject_leftover("time", raw)
-        if time_cfg.scheme not in {"sav_cn", "sav_cn_sdc"}:
-            raise ConfigError(f"[time] scheme must be sav_cn or sav_cn_sdc, got {time_cfg.scheme!r}")
-        if time_cfg.T <= 0 or time_cfg.nt < 1:
-            raise ConfigError("[time] needs T > 0 and nt >= 1")
-
-    initial = None
-    if "initial" in sections:
-        raw = dict(sections["initial"])
-        kind = _take("initial", raw, "kind", _c_str)
-        if kind not in {"sine", "mode_list", "field_file"}:
-            raise ConfigError(f"[initial] kind must be sine, mode_list or field_file, got {kind!r}")
-        initial = InitialCfg(
-            kind=kind,
-            amplitude=_take("initial", raw, "amplitude", _c_float, 1.0),
-            modes=_take("initial", raw, "modes", lambda v: _parse_modes(v, n), None),
-            file=_take("initial", raw, "file", _c_str, None),
-        )
-        _reject_leftover("initial", raw)
-        if kind == "mode_list" and initial.modes is None:
-            raise ConfigError("[initial] mode_list needs a 'modes' key")
-        if kind == "field_file" and initial.file is None:
-            raise ConfigError("[initial] field_file needs a 'file' key")
-
-    raw = dict(sections.get("output", {}))
-    output = OutputCfg(
-        dir=_take("output", raw, "dir", _c_str, "."),
-        energy_csv=_take("output", raw, "energy_csv", _c_str, "energy.csv"),
-        dump_times=_take("output", raw, "dump_times", _c_floats, ()),
-        dump_prefix=_take("output", raw, "dump_prefix", _c_str, "state"),
-    )
-    _reject_leftover("output", raw)
-
-    render = None
-    if "render" in sections:
-        raw = dict(sections["render"])
-        render = RenderCfg(
-            window=_take("render", raw, "window", _c_floats),
-            resolution=_take("render", raw, "resolution", _c_ints),
-            floor_rel=_take("render", raw, "floor_rel", _c_float, 1e-8),
-        )
-        _reject_leftover("render", raw)
-        if len(render.window) != 2 * d or len(render.resolution) != d:
-            raise ConfigError(f"[render] window needs {2 * d} numbers and resolution {d}")
-
-    raw = dict(sections.get("spectrum", {}))
-    spectrum = SpectrumCfg(threshold_rel=_take("spectrum", raw, "threshold_rel", _c_float, 0.1))
-    _reject_leftover("spectrum", raw)
-    if not spectrum.threshold_rel > 0:
-        raise ConfigError("[spectrum] threshold_rel must be positive")
-
-    convergence = None
-    if "convergence" in sections:
-        raw = dict(sections["convergence"])
-        convergence = ConvergenceCfg(
-            nt_list=_take("convergence", raw, "nt_list", _c_ints),
-            reference_nt=_take("convergence", raw, "reference_nt", _c_int),
-            schemes=_take("convergence", raw, "schemes", _c_strs, ("sav_cn", "sav_cn_sdc")),
-            csv=_take("convergence", raw, "csv", _c_str, "rates.csv"),
-        )
-        _reject_leftover("convergence", raw)
-        bad = [s for s in convergence.schemes if s not in {"sav_cn", "sav_cn_sdc"}]
-        if bad:
-            raise ConfigError(f"[convergence] unknown schemes {bad}")
-        if not convergence.nt_list:
-            raise ConfigError("[convergence] nt_list is empty")
-        if convergence.reference_nt <= max(convergence.nt_list):
-            raise ConfigError("[convergence] reference_nt must exceed every tested nt")
-
-    scales = None
-    if "scales" in sections:
-        raw = dict(sections["scales"])
-        scales = ScalesCfg(
-            m_list=_take("scales", raw, "m_list", _c_ints),
-            s=_take("scales", raw, "s", _c_float, 2.0 * math.cos(math.pi / 12.0)),
-            amplitude=_take("scales", raw, "amplitude", _c_float, 0.3),
-            jitter=_take("scales", raw, "jitter", _c_float, 0.0),
-            noise=_take("scales", raw, "noise", _c_float, 0.0),
-            seed=_take("scales", raw, "seed", _c_int, 0),
-            ring_tol=_take("scales", raw, "ring_tol", _c_float, 1e-8),
-        )
-        _reject_leftover("scales", raw)
-        if any(m < 1 for m in scales.m_list):
-            raise ConfigError("[scales] m_list entries must be >= 1")
-
-    return ExperimentConfig(
-        projection=projection,
-        model=model,
-        time=time_cfg,
-        initial=initial,
-        output=output,
-        render=render,
-        spectrum=spectrum,
-        convergence=convergence,
-        scales=scales,
-    )
+    for name, default in _defaults(ExperimentConfig).items():
+        if default is MISSING and name not in sections:
+            raise ConfigError(f"missing required section [{name}]")
+    cfg = ExperimentConfig(**{name: _parse_section(name, raw) for name, raw in sections.items()})
+    for name in _SECTIONS:
+        section = getattr(cfg, name)
+        if section is not None:
+            section.check(cfg.projection)
+    return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(parse(text))) == parse(text)."""
-    out = []
-    p = cfg.projection
-    out.append("[projection]")
-    out.append(f"d = {p.d}")
-    out.append(f"n = {p.n}")
-    out.append(f"P = {_fmt_matrix(p.P)}")
-    out.append(f"B = {_fmt_matrix(p.B)}")
-    out.append("sizes = " + " ".join(str(s) for s in p.sizes))
+    """Canonical text form; parse(serialize(parse(text))) == parse(text).
 
-    m = cfg.model
-    out.append("")
-    out.append("[model]")
-    if m.q is not None:
-        out.append("q = " + " ".join(_fmt_float(v) for v in m.q))
-    out.append(f"eps = {_fmt_float(m.eps)}")
-    out.append(f"alpha = {_fmt_float(m.alpha)}")
-    out.append(f"c1 = {_fmt_float(m.c1)}")
-    out.append(f"dealias = {'true' if m.dealias else 'false'}")
-
-    if cfg.time is not None:
-        t = cfg.time
-        out.append("")
-        out.append("[time]")
-        out.append(f"T = {_fmt_float(t.T)}")
-        out.append(f"nt = {t.nt}")
-        out.append(f"scheme = {t.scheme}")
-        out.append(f"sweeps = {t.sweeps}")
-        out.append(f"block = {t.block}")
-
-    if cfg.initial is not None:
-        i = cfg.initial
-        out.append("")
-        out.append("[initial]")
-        out.append(f"kind = {i.kind}")
-        out.append(f"amplitude = {_fmt_float(i.amplitude)}")
-        if i.modes is not None:
-            rows = " ; ".join(
-                " ".join(str(v) for v in h) + f" {_fmt_float(a)} {_fmt_float(ph)}"
-                for h, a, ph in i.modes
-            )
-            out.append(f"modes = {rows}")
-        if i.file is not None:
-            out.append(f"file = {i.file}")
-
-    o = cfg.output
-    out.append("")
-    out.append("[output]")
-    out.append(f"dir = {o.dir}")
-    out.append(f"energy_csv = {o.energy_csv}")
-    if o.dump_times:
-        out.append("dump_times = " + " ".join(_fmt_float(v) for v in o.dump_times))
-    out.append(f"dump_prefix = {o.dump_prefix}")
-
-    if cfg.render is not None:
-        r = cfg.render
-        out.append("")
-        out.append("[render]")
-        out.append("window = " + " ".join(_fmt_float(v) for v in r.window))
-        out.append("resolution = " + " ".join(str(v) for v in r.resolution))
-        out.append(f"floor_rel = {_fmt_float(r.floor_rel)}")
-
-    out.append("")
-    out.append("[spectrum]")
-    out.append(f"threshold_rel = {_fmt_float(cfg.spectrum.threshold_rel)}")
-
-    if cfg.convergence is not None:
-        c = cfg.convergence
-        out.append("")
-        out.append("[convergence]")
-        out.append("nt_list = " + " ".join(str(v) for v in c.nt_list))
-        out.append(f"reference_nt = {c.reference_nt}")
-        out.append("schemes = " + " ".join(c.schemes))
-        out.append(f"csv = {c.csv}")
-
-    if cfg.scales is not None:
-        s = cfg.scales
-        out.append("")
-        out.append("[scales]")
-        out.append("m_list = " + " ".join(str(v) for v in s.m_list))
-        out.append(f"s = {_fmt_float(s.s)}")
-        out.append(f"amplitude = {_fmt_float(s.amplitude)}")
-        out.append(f"jitter = {_fmt_float(s.jitter)}")
-        out.append(f"noise = {_fmt_float(s.noise)}")
-        out.append(f"seed = {s.seed}")
-        out.append(f"ring_tol = {_fmt_float(s.ring_tol)}")
-
-    return "\n".join(out) + "\n"
+    Absent sections are left out, and so are keys that hold an empty default
+    (None or an empty list); every other key is written out."""
+    blocks = []
+    for name, (cls, keys) in _SECTIONS.items():
+        section = getattr(cfg, name)
+        if section is None:
+            continue
+        defaults = _defaults(cls)
+        lines = [f"[{name}]"]
+        for key, (_, fmt) in keys.items():
+            value = getattr(section, key)
+            if value is None or (defaults[key] == () and value == ()):
+                continue
+            lines.append(f"{key} = {fmt(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 # -- initial conditions --------------------------------------------------------
@@ -755,13 +636,6 @@ def write_pgm(path: str, raster: np.ndarray) -> None:
 # -- drivers ---------------------------------------------------------------------
 
 
-def _energy_row(step: int, t: float, tau: float, rep: StepReport) -> str:
-    return (
-        f"{step},{_fmt_float(t)},{_fmt_float(tau)},{_fmt_float(rep.original_energy)},"
-        f"{_fmt_float(rep.modified_energy)},{_fmt_float(rep.r_value)},{_fmt_float(rep.w_norm_sq)}"
-    )
-
-
 def _initial_report(phi0, symbol, params, dealias) -> StepReport:
     state = init_state(phi0, symbol, params, dealias=dealias)
     e_mod = modified_energy(state, symbol, params)
@@ -771,40 +645,76 @@ def _initial_report(phi0, symbol, params, dealias) -> StepReport:
     )
 
 
-class _DumpSchedule:
-    """Snap requested dump times to the first node at or past each of them."""
+def _run_scheme(phi0, symbol, params, dealias: bool, tcfg: TimeCfg, on_node=None) -> SpectralField:
+    """Step phi0 over [0, T] with the configured scheme and return the final
+    field.  on_node(step, t, tau, report, phi), if given, is called for every
+    node after the initial one as soon as the scheme has finished it: each
+    step for `sav_cn`, each corrected block for `sav_cn_sdc`."""
+    if tcfg.scheme == "sav_cn_sdc":
+        return sdc_solve(
+            phi0, tcfg.T, tcfg.nt, symbol, params, sweeps=tcfg.sweeps, block=tcfg.block,
+            dealias=dealias, node_hook=on_node,
+        )[0]
+    times = np.linspace(0.0, tcfg.T, tcfg.nt + 1)
 
-    def __init__(self, times: Sequence[float], horizon: float):
-        self.pending = sorted(float(t) for t in times)
-        self.tol = 1e-9 * max(1.0, horizon)
+    def on_step(i: int, state, report: StepReport) -> None:
+        if on_node is not None:
+            on_node(i, state.t, float(times[i] - times[i - 1]), report, state.phi)
 
-    def due(self, t: float) -> bool:
-        if self.pending and t >= self.pending[0] - self.tol:
-            while self.pending and t >= self.pending[0] - self.tol:
-                self.pending.pop(0)
-            return True
-        return False
+    state = init_state(phi0, symbol, params, dealias=dealias)
+    return evolve(state, times, symbol, params, dealias=dealias, on_step=on_step)[0].phi
+
+
+def _write_energy_csv(path: str, phi0, symbol, params, dealias: bool, tcfg: TimeCfg, on_node=None):
+    """Run the configured scheme from phi0, writing one energy row per node
+    (the initial one included) as it is finished and then calling
+    on_node(t, phi); returns the final field.  A failure part-way leaves the
+    rows of the nodes before it in the file."""
+    with open(path, "w", encoding="utf-8", newline="\n", buffering=1) as fh:
+        fh.write(ENERGY_HEADER + "\n")
+
+        def row(step: int, t: float, tau: float, rep: StepReport, phi: SpectralField) -> None:
+            values = (t, tau, rep.original_energy, rep.modified_energy, rep.r_value, rep.w_norm_sq)
+            fh.write(f"{step}," + ",".join(map(_fmt_float, values)) + "\n")
+            if on_node is not None:
+                on_node(t, phi)
+
+        row(0, 0.0, 0.0, _initial_report(phi0, symbol, params, dealias), phi0)
+        return _run_scheme(phi0, symbol, params, dealias, tcfg, on_node=row)
+
+
+def _output_dir(cfg: ExperimentConfig, base_dir: str) -> str:
+    out_dir = os.path.join(base_dir, cfg.output.dir)
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
+
+
+def _setup(cfg: ExperimentConfig, base_dir: str):
+    """(spec, grid, params, symbol, phi0) of a config with [model] q and [initial]."""
+    spec = cfg.build_spec()
+    grid = cfg.build_grid(spec)
+    params = cfg.build_params()
+    symbol = build_symbol(spec, grid, params.q)
+    return spec, grid, params, symbol, build_initial(cfg, grid, base_dir)
 
 
 def run_evolution(cfg: ExperimentConfig, base_dir: str = ".") -> dict:
     """Drive one evolution run: energy CSV, optional dumps and rasters."""
     if cfg.time is None:
         raise ConfigError("missing required section [time]")
-    spec = cfg.build_spec()
-    grid = cfg.build_grid(spec)
-    params = cfg.build_params()
-    symbol = build_symbol(spec, grid, params.q)
-    phi0 = build_initial(cfg, grid, base_dir)
-    dealias = cfg.model.dealias
-    tcfg = cfg.time
-
-    out_dir = os.path.join(base_dir, cfg.output.dir)
-    os.makedirs(out_dir, exist_ok=True)
+    spec, grid, params, symbol, phi0 = _setup(cfg, base_dir)
+    out_dir = _output_dir(cfg, base_dir)
     csv_path = os.path.join(out_dir, cfg.output.energy_csv)
     dumps: List[str] = []
-    schedule = _DumpSchedule(cfg.output.dump_times, tcfg.T)
+    # each requested dump time snaps to the first node at or past it
+    pending = sorted(float(t) for t in cfg.output.dump_times)
+    tol = 1e-9 * max(1.0, cfg.time.T)
 
     def dump(t: float, fld: SpectralField) -> None:
+        if not pending or t < pending[0] - tol:
+            return
+        while pending and t >= pending[0] - tol:
+            pending.pop(0)
         path = os.path.join(out_dir, f"{cfg.output.dump_prefix}_t{t:.6f}.field")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             dump_field(fld, fh)
@@ -815,57 +725,10 @@ def run_evolution(cfg: ExperimentConfig, base_dir: str = ".") -> dict:
             )
             write_pgm(path[: -len(".field")] + ".pgm", img)
 
-    rows = [_energy_row(0, 0.0, 0.0, _initial_report(phi0, symbol, params, dealias))]
-    if schedule.due(0.0):
-        dump(0.0, phi0)
-
-    if tcfg.scheme == "sav_cn":
-        times = np.linspace(0.0, tcfg.T, tcfg.nt + 1)
-        state = init_state(phi0, symbol, params, dealias=dealias)
-
-        def on_step(i, st, rep):
-            rows.append(_energy_row(i, st.t, float(times[i] - times[i - 1]), rep))
-            if schedule.due(st.t):
-                dump(st.t, st.phi)
-
-        state, _ = evolve(state, times, symbol, params, dealias=dealias, on_step=on_step)
-        final = state.phi
-    else:
-
-        def node_hook(t, fld):
-            if t > 0.0 and schedule.due(t):
-                dump(t, fld)
-
-        final, records = sdc_solve(
-            phi0,
-            tcfg.T,
-            tcfg.nt,
-            symbol,
-            params,
-            sweeps=tcfg.sweeps,
-            block=tcfg.block,
-            dealias=dealias,
-            node_hook=node_hook,
-        )
-        for i, (t, tau, rep) in enumerate(records[1:], start=1):
-            rows.append(_energy_row(i, t, tau, rep))
-
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ENERGY_HEADER + "\n")
-        fh.write("\n".join(rows) + "\n")
-    return {"csv": csv_path, "dumps": dumps, "final": final, "grid": grid, "spec": spec}
-
-
-def _final_field(scheme, phi0, T, nt, symbol, params, dealias, sweeps, block) -> SpectralField:
-    if scheme == "sav_cn":
-        state = init_state(phi0, symbol, params, dealias=dealias)
-        times = np.linspace(0.0, T, nt + 1)
-        state, _ = evolve(state, times, symbol, params, dealias=dealias)
-        return state.phi
-    final, _ = sdc_solve(
-        phi0, T, nt, symbol, params, sweeps=sweeps, block=block, dealias=dealias
+    final = _write_energy_csv(
+        csv_path, phi0, symbol, params, cfg.model.dealias, cfg.time, on_node=dump
     )
-    return final
+    return {"csv": csv_path, "dumps": dumps, "final": final, "grid": grid, "spec": spec}
 
 
 def run_convergence(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
@@ -877,35 +740,24 @@ def run_convergence(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
     """
     if cfg.time is None or cfg.convergence is None:
         raise ConfigError("convergence runs need [time] and [convergence] sections")
-    spec = cfg.build_spec()
-    grid = cfg.build_grid(spec)
-    params = cfg.build_params()
-    symbol = build_symbol(spec, grid, params.q)
-    phi0 = build_initial(cfg, grid, base_dir)
-    dealias = cfg.model.dealias
+    _, _, params, symbol, phi0 = _setup(cfg, base_dir)
     tcfg = cfg.time
     ccfg = cfg.convergence
 
-    reference = _final_field(
-        "sav_cn_sdc", phi0, tcfg.T, ccfg.reference_nt, symbol, params, dealias,
-        tcfg.sweeps if tcfg.sweeps >= 1 else 1, tcfg.block,
-    )
+    def final(**change) -> SpectralField:
+        return _run_scheme(phi0, symbol, params, cfg.model.dealias, replace(tcfg, **change))
 
+    reference = final(scheme="sav_cn_sdc", nt=ccfg.reference_nt, sweeps=max(tcfg.sweeps, 1))
     rows: List[dict] = []
     for scheme in ccfg.schemes:
         prev_err = None
         for nt in ccfg.nt_list:
-            final = _final_field(
-                scheme, phi0, tcfg.T, nt, symbol, params, dealias, tcfg.sweeps, tcfg.block
-            )
-            err = norm_ap(final - reference)
+            err = norm_ap(final(scheme=scheme, nt=nt) - reference)
             rate = math.log2(prev_err / err) if (prev_err is not None and err > 0) else None
             rows.append({"scheme": scheme, "nt": nt, "error": err, "rate": rate})
             prev_err = err
 
-    out_dir = os.path.join(base_dir, cfg.output.dir)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, ccfg.csv)
+    csv_path = os.path.join(_output_dir(cfg, base_dir), ccfg.csv)
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(RATES_HEADER + "\n")
         for row in rows:
@@ -921,12 +773,8 @@ def run_scales_study(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
         raise ConfigError("scale studies need [time] and [scales] sections")
     spec = cfg.build_spec()
     grid = cfg.build_grid(spec)
-    dealias = cfg.model.dealias
-    tcfg = cfg.time
     scfg = cfg.scales
-
-    out_dir = os.path.join(base_dir, cfg.output.dir)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(cfg, base_dir)
 
     results: List[dict] = []
     for m in scfg.m_list:
@@ -945,29 +793,8 @@ def run_scales_study(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
             # orientation
             phi0 = phi0 + banded_noise_field(grid, symbol, scfg.noise, scfg.seed)
 
-        rows = [_energy_row(0, 0.0, 0.0, _initial_report(phi0, symbol, params, dealias))]
-        if tcfg.scheme == "sav_cn":
-            state = init_state(phi0, symbol, params, dealias=dealias)
-            times = np.linspace(0.0, tcfg.T, tcfg.nt + 1)
-
-            def on_step(i, st, rep):
-                rows.append(_energy_row(i, st.t, float(times[i] - times[i - 1]), rep))
-
-            state, _ = evolve(state, times, symbol, params, dealias=dealias, on_step=on_step)
-            final = state.phi
-        else:
-            final, records = sdc_solve(
-                phi0, tcfg.T, tcfg.nt, symbol, params,
-                sweeps=tcfg.sweeps, block=tcfg.block, dealias=dealias,
-            )
-            for i, (t, tau, rep) in enumerate(records[1:], start=1):
-                rows.append(_energy_row(i, t, tau, rep))
-
         csv_path = os.path.join(out_dir, f"energy_m{m}.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(ENERGY_HEADER + "\n")
-            fh.write("\n".join(rows) + "\n")
-
+        final = _write_energy_csv(csv_path, phi0, symbol, params, cfg.model.dealias, cfg.time)
         kxy, amps, verdict = spectrum_report(final, grid, cfg.spectrum.threshold_rel)
         write_spectrum_csv(os.path.join(out_dir, f"spectrum_m{m}.csv"), kxy, amps)
         results.append(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import poly_eval
-from .errors import BulkPositivityError
+from .errors import BulkPositivityError, NumericalError
 from .field import (
     PhysicalField,
     SpectralField,
@@ -107,7 +107,8 @@ def energy(
     """Total free energy, 1/2 ||G phi||^2 + <N(phi), 1> (no shift)."""
     gf = apply_symbol(f, symbol, power=1)
     grad = 0.5 * inner_ap(gf, gf)
-    assert grad >= -1e-15, "gradient part of the energy must be nonnegative"
+    if not grad >= -1e-15:
+        raise NumericalError(f"gradient part of the energy is {grad!r}, not nonnegative")
     return grad + bulk_mean(f, params, dealias=dealias)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ipfc.cli import main
+from ipfc.harness import ENERGY_HEADER
 
 CONFIG = """
 [projection]
@@ -95,6 +96,25 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     cfg.write_text(text)
     assert main(["evolve", str(cfg)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_numerical_failure_keeps_energy_log(tmp_path, capsys):
+    # the shifted bulk energy turns negative in step 2: the rows of the
+    # initial node and of step 1 stay in the log
+    text = (
+        CONFIG.replace("eps = 10.0", "eps = -20.0")
+        .replace("c1 = 100.0", "c1 = 0.1")
+        .replace("kind = sine", "kind = sine\namplitude = 0.1")
+        .replace("T = 0.05", "T = 2.0")
+        .replace("nt = 8", "nt = 40")
+    )
+    cfg = tmp_path / "fail.cfg"
+    cfg.write_text(text)
+    assert main(["evolve", str(cfg)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
+    assert lines[0] == ENERGY_HEADER
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1"]
 
 
 def test_scales_command(tmp_path, capsys):

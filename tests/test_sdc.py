@@ -13,6 +13,7 @@ from ipfc import (
     sdc_solve,
     zeros_field,
 )
+from ipfc.errors import NumericalError
 from ipfc.model import ModelParams
 
 from conftest import Q_BENCH, grid_1d, params_bench, random_field, sine_field
@@ -148,6 +149,19 @@ def test_correction_keeps_zero_mode(bench_1d, rng):
         assert abs(p.coeffs.ravel()[grid.zero_index]) <= 1e-13
 
 
+def test_correct_non_finite_raises_numerical_error(bench_1d, rng):
+    # the zero-mode invariant is a raise, not an assert, so it also holds
+    # under python -O
+    spec, grid, symbol, params = bench_1d
+    phi0 = random_field(grid, rng, scale=0.2)
+    g = cheb_nodes(0.05, 8)
+    S = integration_matrix(g)
+    traj = predict(phi0, g, symbol, params)
+    traj.kappas[3] = np.nan
+    with pytest.raises(NumericalError, match="zero mode"):
+        correct(traj, g, S, symbol, params)
+
+
 def test_sdc_solve_zero_sweeps_is_predictor(bench_1d, rng):
     spec, grid, symbol, params = bench_1d
     phi0 = random_field(grid, rng, scale=0.2)
@@ -210,6 +224,32 @@ def test_sdc_records_shape(bench_1d, rng):
     assert ts[0] == 0.0
     assert ts[-1] == pytest.approx(0.05)
     assert all(np.diff(ts) > 0)
+
+
+def test_sdc_node_hook_streams_per_block(bench_1d, rng, monkeypatch):
+    # each block's nodes reach the hook before the next block is predicted,
+    # so a caller need not hold more than one block of fields
+    import ipfc.sdc as sdc_mod
+
+    spec, grid, symbol, params = bench_1d
+    phi0 = random_field(grid, rng, scale=0.2)
+    blocks_started = []
+    real_predict = sdc_mod.predict
+
+    def counting_predict(*args, **kwargs):
+        blocks_started.append(None)
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(sdc_mod, "predict", counting_predict)
+    seen = []
+    final, records = sdc_solve(
+        phi0, 0.05, 12, symbol, params, sweeps=1, block=4,
+        node_hook=lambda step, t, tau, rep, phi: seen.append((step, t, tau, rep, phi, len(blocks_started))),
+    )
+    assert [s[0] for s in seen] == list(range(1, 13))
+    assert [s[1:4] for s in seen] == records[1:]
+    assert [s[5] for s in seen] == [1] * 4 + [2] * 4 + [3] * 4
+    assert seen[-1][4] is final
 
 
 def test_sdc_validation(bench_1d, rng):
