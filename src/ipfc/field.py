@@ -220,37 +220,34 @@ def _extract_truncated(big: np.ndarray, sizes, factor: int) -> np.ndarray:
 
 
 def _validate_terms(terms):
-    exps = []
-    cfs = []
-    for p, c in terms:
-        p = int(p)
+    terms = tuple((int(p), float(c)) for p, c in terms)
+    if not terms:
+        raise ValueError("need at least one polynomial term")
+    for p, _ in terms:
         if p not in (1, 2, 3, 4):
             raise ValueError(f"exponents must be in 1..4, got {p}")
-        exps.append(p)
-        cfs.append(float(c))
-    if not exps:
-        raise ValueError("need at least one polynomial term")
-    return np.asarray(exps, dtype=np.int64), np.asarray(cfs, dtype=float)
+    return terms
 
 
-def _poly_physical(f: SpectralField, terms, dealias: bool, pad_factor: int):
-    """Evaluate the polynomial pointwise in physical space.
+def _physical_samples(f: SpectralField, dealias: bool, pad_factor: int = 2):
+    """Collocation values of the field, on the grid padded by `pad_factor`
+    when `dealias` is set.  Returns (values, factor)."""
+    if not dealias:
+        return to_physical(f).values, 1
+    big = _embed_padded(f.coeffs, f.grid.sizes, pad_factor)
+    vals = np.fft.ifftn(big) * big.size
+    _assert_real(vals, f.coeffs)
+    return np.ascontiguousarray(vals.real), pad_factor
 
-    Returns (values, sizes, factor) where `values` lives on the (possibly
-    padded) collocation grid.
-    """
-    exps, cfs = _validate_terms(terms)
-    if dealias:
-        big = _embed_padded(f.coeffs, f.grid.sizes, pad_factor)
-        vals = np.fft.ifftn(big) * big.size
-        _assert_real(vals, f.coeffs)
-        v = np.ascontiguousarray(vals.real)
-        factor = pad_factor
+
+def _samples_to_spectral(w: np.ndarray, grid: IndexGrid, factor: int) -> SpectralField:
+    """Forward transform of (possibly padded) samples, truncated back to the
+    grid and re-symmetrized."""
+    if factor == 1:
+        out = to_spectral(PhysicalField(grid, w)).coeffs
     else:
-        v = to_physical(f).values
-        factor = 1
-    w = poly_eval(v.ravel(), exps, cfs).reshape(v.shape)
-    return w, f.grid.sizes, factor
+        out = _extract_truncated(np.fft.fftn(w) / w.size, grid.sizes, factor)
+    return enforce_hermitian(SpectralField(grid, out))
 
 
 def pointwise_poly(
@@ -263,18 +260,18 @@ def pointwise_poly(
     `pad_factor`, which makes results exact truncated convolutions for total
     degree up to pad_factor + 1.  The result is re-symmetrized.
     """
-    w, sizes, factor = _poly_physical(f, terms, dealias, pad_factor)
-    spec_big = np.fft.fftn(w) / w.size
-    out = spec_big if factor == 1 else _extract_truncated(spec_big, sizes, factor)
-    return enforce_hermitian(SpectralField(f.grid, out))
+    terms = _validate_terms(terms)
+    v, factor = _physical_samples(f, dealias, pad_factor)
+    return _samples_to_spectral(poly_eval(v, terms), f.grid, factor)
 
 
 def pointwise_poly_mean(
     f: SpectralField, terms, dealias: bool = False, pad_factor: int = 2
 ) -> float:
     """Spatial mean of a pointwise polynomial of the field (its zero mode)."""
-    w, _, _ = _poly_physical(f, terms, dealias, pad_factor)
-    return float(w.mean())
+    terms = _validate_terms(terms)
+    v, _ = _physical_samples(f, dealias, pad_factor)
+    return float(poly_eval(v, terms).mean())
 
 
 # -- diagonal operators --------------------------------------------------------

@@ -17,13 +17,12 @@ from .errors import BulkPositivityError, NumericalError
 from .field import (
     PhysicalField,
     SpectralField,
+    _physical_samples,
+    _samples_to_spectral,
     apply_symbol,
-    enforce_hermitian,
     inner_ap,
     pointwise_poly,
     pointwise_poly_mean,
-    to_physical,
-    to_spectral,
 )
 from .lattice import OperatorSymbol
 
@@ -75,10 +74,7 @@ def _bulk_terms(params: ModelParams):
 
 def bulk_density(p: PhysicalField, params: ModelParams) -> PhysicalField:
     """Pointwise bulk energy density of collocation values."""
-    exps = np.array([2, 3, 4], dtype=np.int64)
-    cfs = np.array([0.5 * params.eps, -params.alpha / 3.0, 0.25])
-    vals = poly_eval(np.ascontiguousarray(p.values.ravel()), exps, cfs)
-    return PhysicalField(p.grid, vals.reshape(p.grid.sizes))
+    return PhysicalField(p.grid, poly_eval(p.values, _bulk_terms(params)))
 
 
 def nprime(f: SpectralField, params: ModelParams, dealias: bool = False) -> SpectralField:
@@ -91,14 +87,18 @@ def bulk_mean(f: SpectralField, params: ModelParams, dealias: bool = False) -> f
     return pointwise_poly_mean(f, _bulk_terms(params), dealias=dealias)
 
 
-def bulk_energy_f1(f: SpectralField, params: ModelParams, dealias: bool = False) -> float:
-    """Shifted bulk energy; must stay strictly positive for the square root."""
-    value = bulk_mean(f, params, dealias=dealias) + params.c1
+def _shifted_bulk(nu: float, params: ModelParams) -> float:
+    value = nu + params.c1
     if not value > 0.0:
         raise BulkPositivityError(
             f"shifted bulk energy {value:.6e} is not positive; increase c1"
         )
     return value
+
+
+def bulk_energy_f1(f: SpectralField, params: ModelParams, dealias: bool = False) -> float:
+    """Shifted bulk energy; must stay strictly positive for the square root."""
+    return _shifted_bulk(bulk_mean(f, params, dealias=dealias), params)
 
 
 def energy(
@@ -124,26 +124,10 @@ def sav_ingredients(
 ):
     """The auxiliary-variable ratio field u = N'(fbar)/sqrt(F1(fbar)) together
     with sqrt(F1(fbar)), sharing a single transform of fbar."""
-    if dealias:
-        npf = pointwise_poly(fbar, _nprime_terms(params), dealias=True)
-        nu = pointwise_poly_mean(fbar, _bulk_terms(params), dealias=True)
-    else:
-        vals = np.ascontiguousarray(to_physical(fbar).values.ravel())
-        exps = np.array([1, 2, 3], dtype=np.int64)
-        cfs = np.array([params.eps, -params.alpha, 1.0])
-        npv = poly_eval(vals, exps, cfs)
-        bexps = np.array([2, 3, 4], dtype=np.int64)
-        bcfs = np.array([0.5 * params.eps, -params.alpha / 3.0, 0.25])
-        nu = float(poly_eval(vals, bexps, bcfs).mean())
-        npf = enforce_hermitian(
-            to_spectral(PhysicalField(fbar.grid, npv.reshape(fbar.grid.sizes)))
-        )
-    f1 = nu + params.c1
-    if not f1 > 0.0:
-        raise BulkPositivityError(
-            f"shifted bulk energy {f1:.6e} is not positive; increase c1"
-        )
-    sqrt_f1 = float(np.sqrt(f1))
+    v, factor = _physical_samples(fbar, dealias)
+    nu = float(poly_eval(v, _bulk_terms(params)).mean())
+    sqrt_f1 = float(np.sqrt(_shifted_bulk(nu, params)))
+    npf = _samples_to_spectral(poly_eval(v, _nprime_terms(params)), fbar.grid, factor)
     return npf / sqrt_f1, sqrt_f1
 
 

@@ -1,95 +1,48 @@
-import subprocess
-import sys
+import itertools
 
 import numpy as np
-import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ipfc._kernels import IMPLEMENTATIONS, USING_NUMBA
+from ipfc._kernels import bohr_fourier_sum, poly_eval
 
-
-@pytest.fixture
-def data(rng):
-    vals = rng.standard_normal(4096)
-    exps = np.array([1, 2, 3], dtype=np.int64)
-    cfs = np.array([10.0, -4.0, 1.0])
-    flat = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    perm = np.argsort(rng.random(256)).astype(np.int64)
-    perm = perm[np.argsort(perm)]  # identity; then build a true involution
-    idx = np.arange(256, dtype=np.int64)
-    neg = (-idx) % 256
-    kvecs = rng.standard_normal((64, 2))
-    cre = rng.standard_normal(64)
-    cim = rng.standard_normal(64)
-    pts = rng.standard_normal((128, 2))
-    return vals, exps, cfs, flat, neg, kvecs, cre, cim, pts
+_EXPONENT_SETS = [
+    s for r in range(1, 5) for s in itertools.combinations((1, 2, 3, 4), r)
+]
 
 
-@pytest.mark.skipif(not USING_NUMBA, reason="numba path inactive")
-def test_numba_matches_numpy(data):
-    vals, exps, cfs, flat, neg, kvecs, cre, cim, pts = data
-    for name, args in [
-        ("poly_eval", (vals, exps, cfs)),
-        ("hermitian_pair_mean", (flat, neg)),
-        ("bohr_fourier_sum", (kvecs, cre, cim, pts)),
-    ]:
-        a = IMPLEMENTATIONS["numpy"][name](*args)
-        b = IMPLEMENTATIONS["numba"][name](*args)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-def test_poly_eval_polynomial_values(rng):
-    vals = rng.standard_normal(100)
-    exps = np.array([1, 2, 4], dtype=np.int64)
-    cfs = np.array([2.0, -0.5, 0.25])
-    want = 2.0 * vals - 0.5 * vals**2 + 0.25 * vals**4
-    from ipfc._kernels import poly_eval
-
-    np.testing.assert_allclose(poly_eval(vals, exps, cfs), want, rtol=1e-13)
-
-
-def test_env_flag_forces_numpy_path():
-    code = (
-        "import os; os.environ['IPFC_PURE_NUMPY'] = '1'; "
-        "from ipfc._kernels import USING_NUMBA; print(USING_NUMBA)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
-
-
-def test_pure_numpy_solver_agrees_with_active_path(tmp_path):
-    # one stepped trajectory, both kernel paths, identical results
-    script = r"""
-import numpy as np
-import ipfc
-from ipfc.harness import field_from_modes, ring_star_modes
-
-spec, grid = ipfc.ProjectionSpec.identity(1), None
-spec = ipfc.ProjectionSpec(d=1, n=1, P=[[1.0]], B=[[1.0]])
-grid = ipfc.build_grid(spec, (16,))
-q = (np.sqrt(2.0), np.sqrt(3.0))
-params = ipfc.ModelParams(q=q, eps=10.0, alpha=4.0, c1=100.0)
-sym = ipfc.build_symbol(spec, grid, q)
-f = ipfc.zeros_field(grid)
-f.coeffs.ravel()[grid.flat_index([1])] = -0.5j
-f.coeffs.ravel()[grid.flat_index([-1])] = 0.5j
-st = ipfc.init_state(f, sym, params)
-for _ in range(5):
-    st, rep = ipfc.cn_step(st, 0.01, sym, params)
-np.save(OUT, st.phi.coeffs)
-"""
-    import os
-
-    results = {}
-    for label, env_val in (("active", "0"), ("numpy", "1")):
-        out = tmp_path / f"{label}.npy"
-        env = dict(os.environ, IPFC_PURE_NUMPY=env_val)
-        subprocess.run(
-            [sys.executable, "-c", script.replace("OUT", repr(str(out)))],
-            check=True,
-            env=env,
-            capture_output=True,
+@given(
+    st.sampled_from(_EXPONENT_SETS).flatmap(
+        lambda exps: st.tuples(
+            st.just(exps),
+            st.lists(
+                st.floats(-10.0, 10.0, allow_nan=False), min_size=len(exps), max_size=len(exps)
+            ),
         )
-        results[label] = np.load(out)
-    np.testing.assert_allclose(results["active"], results["numpy"], rtol=1e-13, atol=1e-16)
+    ),
+    arrays(np.float64, st.integers(1, 64), elements=st.floats(-10.0, 10.0, allow_nan=False)),
+)
+def test_poly_eval_polynomial_values(terms, vals):
+    exps, cfs = terms
+    got = poly_eval(vals, list(zip(exps, cfs)))
+    parts = [c * vals**p for p, c in zip(exps, cfs)]
+    want = sum(parts)
+    # Cancellation between terms leaves an error of a few ulps of the largest
+    # one; below the smallest normal float both sides lose relative precision.
+    atol = 1e-14 * np.max(np.abs(parts), axis=0) + np.finfo(float).tiny
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + atol)
+
+
+def test_bohr_fourier_sum_across_chunk_boundary(rng):
+    # 8192 points fill one chunk; the 5 beyond it form a second one.
+    kvecs = rng.standard_normal((7, 2))
+    cre = rng.standard_normal(7)
+    cim = rng.standard_normal(7)
+    pts = rng.uniform(-5.0, 5.0, (8192 + 5, 2))
+    want = np.array(
+        [
+            sum(cre[m] * np.cos(kvecs[m] @ x) - cim[m] * np.sin(kvecs[m] @ x) for m in range(7))
+            for x in pts
+        ]
+    )
+    np.testing.assert_allclose(bohr_fourier_sum(kvecs, cre, cim, pts), want, rtol=1e-12, atol=1e-12)

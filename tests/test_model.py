@@ -220,12 +220,13 @@ def test_sav_ratio_magnitude_with_huge_shift(bench_1d, rng):
     assert ratio == pytest.approx(1e-8, rel=1e-3)
 
 
-def test_sav_ingredients_share_transform(bench_1d, rng):
+@pytest.mark.parametrize("dealias", [False, True])
+def test_sav_ingredients_share_transform(bench_1d, rng, dealias):
     spec, grid, symbol, params = bench_1d
     f = random_field(grid, rng, scale=0.3)
-    u, sqrt_f1 = sav_ingredients(f, params)
-    assert sqrt_f1 == pytest.approx(np.sqrt(bulk_energy_f1(f, params)), rel=1e-14)
-    np.testing.assert_array_equal(u.coeffs, sav_ratio_u(f, params).coeffs)
+    u, sqrt_f1 = sav_ingredients(f, params, dealias=dealias)
+    assert sqrt_f1 == np.sqrt(bulk_energy_f1(f, params, dealias=dealias))
+    np.testing.assert_array_equal(u.coeffs, (nprime(f, params, dealias=dealias) / sqrt_f1).coeffs)
 
 
 def test_sqrt_f1_deviation_accuracy():
