@@ -1,5 +1,5 @@
 """Hot inner-loop kernels, in plain numpy: the bulk polynomial (Horner), the
-conjugate-pair mean, and the direct Bohr-Fourier raster sum."""
+conjugate-pair mean, and the Bohr-Fourier raster sum."""
 
 from __future__ import annotations
 
@@ -29,8 +29,11 @@ def hermitian_pair_mean(flat: np.ndarray, neg_perm: np.ndarray) -> np.ndarray:
 def bohr_fourier_sum(
     kvecs: np.ndarray, coeff_re: np.ndarray, coeff_im: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
+    """Re sum_m (coeff_re[m] + i coeff_im[m]) exp(i kvecs[m] . points[p]) at
+    every point p.  The coefficient arrays are (modes,) or (modes, columns);
+    each column is summed on its own, giving (points,) or (points, columns)."""
     # Chunked so the (points x modes) phase matrix stays modest.
-    out = np.empty(points.shape[0])
+    out = np.empty((points.shape[0],) + coeff_re.shape[1:])
     chunk = 8192
     for start in range(0, points.shape[0], chunk):
         phase = points[start : start + chunk] @ kvecs.T

@@ -306,14 +306,14 @@ def dump_field(f: SpectralField, fileobj) -> None:
     fileobj.write(f"ipfc-field v1 n={len(grid.sizes)} sizes={sizes}\n")
     flat = f.coeffs.ravel()
     keep = np.flatnonzero(np.abs(flat) > DUMP_THRESHOLD)
-    for i in keep:
-        h = " ".join(str(int(v)) for v in grid.h_matrix[i])
-        c = flat[i]
-        fileobj.write(f"{h} {c.real:.17g} {c.imag:.17g}\n")
+    line = "{} " * len(grid.sizes) + "{:.17g} {:.17g}\n"
+    rows = zip(grid.h_matrix[keep].tolist(), flat[keep].real.tolist(), flat[keep].imag.tolist())
+    fileobj.write("".join(line.format(*h, re, im) for h, re, im in rows))
 
 
 def load_field(fileobj, grid: IndexGrid) -> SpectralField:
-    """Read a portable dump back onto an existing grid (header must match)."""
+    """Read a portable dump back onto an existing grid (header must match).
+    A mode listed twice takes its last value."""
     header = fileobj.readline().strip()
     parts = header.split()
     if len(parts) != 4 or parts[0] != "ipfc-field" or parts[1] != "v1":
@@ -323,14 +323,25 @@ def load_field(fileobj, grid: IndexGrid) -> SpectralField:
     if n != len(grid.sizes) or sizes != grid.sizes:
         raise ValueError(f"dump grid {sizes} does not match target grid {grid.sizes}")
     out = zeros_field(grid)
-    flat = out.coeffs.ravel()
-    for line in fileobj:
-        line = line.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != n + 2:
-            raise ValueError(f"malformed dump line: {line!r}")
-        h = [int(t) for t in tokens[:n]]
-        flat[grid.flat_index(h)] = complex(float(tokens[n]), float(tokens[n + 1]))
+    lines = fileobj.read().split("\n")
+    rows = [line.split() for line in lines]
+    for line, row in zip(lines, rows):
+        if row and len(row) != n + 2:
+            raise ValueError(f"malformed dump line: {line.strip()!r}")
+    table = np.array([row for row in rows if row], dtype="S").reshape(-1, n + 2)
+    try:
+        h = table[:, :n].astype(np.int64)
+    except OverflowError as exc:
+        raise ValueError("mode index outside the int64 range") from exc
+    half = np.array(grid.sizes) // 2
+    outside = np.argwhere((h < -half) | (h > half - 1))
+    if len(outside):
+        i, j = outside[0]
+        raise ValueError(f"mode index {h[i, j]} outside -{half[j]} .. {half[j] - 1}")
+    pos = np.ravel_multi_index(tuple((h % grid.sizes).T), grid.sizes)
+    values = table[:, n:].astype(float).view(np.complex128)[:, 0]
+    # keep the last line of each mode
+    _, last = np.unique(pos[::-1], return_index=True)
+    last = len(pos) - 1 - last
+    out.coeffs.ravel()[pos[last]] = values[last]
     return out

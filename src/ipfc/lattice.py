@@ -27,6 +27,8 @@ __all__ = [
 
 _DET_FLOOR = 1e-12
 INJECTIVITY_TOL = 1e-10
+# Bytes of folded coefficients and last-axis phases per chunk of raster modes.
+RASTER_CHUNK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,13 +243,19 @@ def sample_real_space(
     resolution,
     amplitude_floor: float = 0.0,
 ) -> np.ndarray:
-    """Evaluate the field on a raster in physical space by direct summation.
+    """Evaluate the field on a raster in physical space by a separable
+    Bohr-Fourier sum.
 
     The projected wavevectors are incommensurate with any d-dimensional
     lattice, so an inverse FFT is not applicable; the raster is filled with
-    Re sum_h c_h exp(i k_h . r) over modes with |c_h| > amplitude_floor.
-    Pure in its inputs; raster[i0, i1, ...] samples axis j at the inclusive
-    linspace of window[j].
+    Re sum_h c_h exp(i k_h . r) over modes with |c_h| > amplitude_floor.  On
+    the rectangular raster exp(i k_h . r) = prod_j exp(i k_hj x_j), so every
+    axis but the last is folded into the coefficients and one kernel call
+    per chunk of modes sums the last axis: trig work is modes x (sum of the
+    axis lengths), not modes x pixels.  Modes are taken in chunks of at most
+    RASTER_CHUNK_BYTES of folded coefficients and phases.  Pure in its
+    inputs; raster[i0, i1, ...] samples axis j at the inclusive linspace of
+    window[j].
     """
     if fld.grid is not grid:
         raise ValueError("field does not live on the supplied grid")
@@ -264,12 +272,19 @@ def sample_real_space(
     mask = np.abs(flat) > amplitude_floor
     if not mask.any():
         return np.zeros(resolution)
-    kv = np.ascontiguousarray(grid.kvec[mask])
-    cre = np.ascontiguousarray(flat[mask].real)
-    cim = np.ascontiguousarray(flat[mask].imag)
+    kv = grid.kvec[mask]
+    coeffs = flat[mask]
 
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(window, resolution)]
-    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    pts = np.ascontiguousarray(pts)
-    out = bohr_fourier_sum(kv, cre, cim, pts)
-    return out.reshape(resolution)
+    lead = int(np.prod(resolution[:-1]))
+    chunk = max(1, RASTER_CHUNK_BYTES // (16 * (lead + resolution[-1])))
+    out = np.zeros((resolution[-1], lead))
+    for start in range(0, len(coeffs), chunk):
+        k = kv[start : start + chunk]
+        # C[h, (i_0 .. i_{d-2})] = c_h prod_{j<d-1} exp(i k_hj x_j), row-major
+        folded = coeffs[start : start + chunk, None]
+        for j, x in enumerate(axes[:-1]):
+            factor = np.exp(1j * np.outer(k[:, j], x))
+            folded = (folded[:, :, None] * factor[:, None, :]).reshape(len(k), -1)
+        out += bohr_fourier_sum(k[:, -1:], folded.real, folded.imag, axes[-1][:, None])
+    return out.T.reshape(resolution)

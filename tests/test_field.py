@@ -281,19 +281,24 @@ def test_symbol_self_adjoint(rng):
 # -- dumps -----------------------------------------------------------------------
 
 
-def test_dump_round_trip_bit_exact(rng):
-    spec, grid = grid_1d(16)
-    f = random_field(grid, rng, zero_mean=False)
-    buf = io.StringIO()
-    dump_field(f, buf)
-    text = buf.getvalue()
-    assert text.startswith("ipfc-field v1 n=1 sizes=16\n")
+def test_dump_round_trip_bit_exact(rng, dodecagonal_small):
+    cases = [
+        (grid_1d(16)[1], "ipfc-field v1 n=1 sizes=16\n"),
+        (dodecagonal_small[1], "ipfc-field v1 n=4 sizes=8,8,8,8\n"),
+    ]
+    for grid, header in cases:
+        f = random_field(grid, rng, zero_mean=False)
+        buf = io.StringIO()
+        dump_field(f, buf)
+        text = buf.getvalue()
+        assert text.startswith(header)
+        assert len(text.splitlines()) == 1 + np.count_nonzero(f.coeffs)
 
-    loaded = load_field(io.StringIO(text), grid)
-    buf2 = io.StringIO()
-    dump_field(loaded, buf2)
-    assert buf2.getvalue() == text
-    np.testing.assert_array_equal(loaded.coeffs, f.coeffs)
+        loaded = load_field(io.StringIO(text), grid)
+        buf2 = io.StringIO()
+        dump_field(loaded, buf2)
+        assert buf2.getvalue() == text
+        np.testing.assert_array_equal(loaded.coeffs, f.coeffs)
 
 
 def test_dump_drops_tiny_coefficients():
@@ -313,3 +318,41 @@ def test_load_rejects_wrong_grid():
     dump_field(cosine_field(grid), buf)
     with pytest.raises(ValueError):
         load_field(io.StringIO(buf.getvalue()), other)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "1 0.5",
+        "1 0 0.5 0.0",
+        "0 1 1 1\n1 1 1 1\n2 1 1 1",
+        "4 0.5 0.0",
+        "-5 0.5 0.0",
+        "1.0 0.5 0.0",
+        "x 0.5 0.0",
+        "9" * 20 + " 0.5 0.0",
+    ],
+    ids=[
+        "too-few-tokens",
+        "too-many-tokens",
+        "too-many-tokens-on-every-line",
+        "index-above",
+        "index-below",
+        "float-index",
+        "word-index",
+        "index-beyond-int64",
+    ],
+)
+def test_load_rejects_malformed_line(line):
+    spec, grid = grid_1d(8)
+    text = "ipfc-field v1 n=1 sizes=8\n" + line + "\n"
+    with pytest.raises(ValueError):
+        load_field(io.StringIO(text), grid)
+
+
+def test_load_duplicate_line_last_wins():
+    spec, grid = grid_1d(8)
+    text = "ipfc-field v1 n=1 sizes=8\n2 1.0 0.0\n-2 1.0 0.0\n2 0.25 0.5\n-2 0.25 -0.5\n"
+    loaded = load_field(io.StringIO(text), grid)
+    assert loaded.coeffs[grid.flat_index([2])] == 0.25 + 0.5j
+    assert loaded.coeffs[grid.flat_index([-2])] == 0.25 - 0.5j

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipfc import (
     ProjectionSpec,
     build_grid,
     build_symbol,
+    field_from_coeffs,
+    lattice,
     sample_real_space,
     wavevector,
     zeros_field,
 )
+from ipfc._kernels import bohr_fourier_sum
 from ipfc.harness import dodecagonal_projection
 
 from conftest import cosine_field, grid_1d, random_field
@@ -160,3 +164,64 @@ def test_sample_amplitude_floor():
     # floor above the coefficient magnitude prunes everything
     vals = sample_real_space(spec, grid, f, [(0.0, 1.0)], (5,), amplitude_floor=0.6)
     np.testing.assert_array_equal(vals, np.zeros(5))
+
+
+def _direct_raster(grid, fld, window, resolution, floor):
+    """Reference raster: the full Bohr-Fourier sum at every pixel, one kernel
+    call on the flattened meshgrid points.  Also returns sum |c_h| over the
+    summed modes, the scale of the raster's rounding error."""
+    flat = fld.coeffs.ravel()
+    mask = np.abs(flat) > floor
+    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(window, resolution)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    vals = bohr_fourier_sum(grid.kvec[mask], flat[mask].real, flat[mask].imag, pts)
+    return vals.reshape(resolution), float(np.abs(flat[mask]).sum())
+
+
+@st.composite
+def _raster_cases(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, min(d + 1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = ProjectionSpec(d=d, n=n, P=rng.standard_normal((d, n)), B=np.eye(n))
+    grid = build_grid(spec, tuple(draw(st.sampled_from((2, 4, 6))) for _ in range(n)))
+    fld = field_from_coeffs(
+        grid, rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
+    )
+    window = []
+    for _ in range(d):
+        lo = draw(st.floats(-20.0, 20.0))
+        window.append((lo, lo + draw(st.floats(0.0, 20.0))))
+    resolution = tuple(draw(st.integers(1, 9)) for _ in range(d))
+    floor = draw(st.floats(0.0, 1.0)) * float(np.abs(fld.coeffs).max())
+    return spec, grid, fld, window, resolution, floor
+
+
+@settings(deadline=None)
+@given(_raster_cases())
+def test_sample_real_space_matches_direct_sum(case):
+    spec, grid, fld, window, resolution, floor = case
+    got = sample_real_space(spec, grid, fld, window, resolution, amplitude_floor=floor)
+    want, scale = _direct_raster(grid, fld, window, resolution, floor)
+    assert got.shape == resolution
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_sample_real_space_across_mode_chunks(dodecagonal_small, rng, monkeypatch):
+    spec, grid = dodecagonal_small
+    fld = random_field(grid, rng)
+    window, resolution = [(-3.0, 5.0), (1.0, 9.0)], (9, 7)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return bohr_fourier_sum(*args)
+
+    # five modes' folded coefficients and last-axis phases per chunk
+    monkeypatch.setattr(lattice, "RASTER_CHUNK_BYTES", 16 * (9 + 7) * 5)
+    monkeypatch.setattr(lattice, "bohr_fourier_sum", counted)
+    got = sample_real_space(spec, grid, fld, window, resolution, amplitude_floor=1e-3)
+    want, scale = _direct_raster(grid, fld, window, resolution, 1e-3)
+    modes = int((np.abs(fld.coeffs) > 1e-3).sum())
+    assert calls == [5] * (modes // 5) + ([modes % 5] if modes % 5 else [])
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale

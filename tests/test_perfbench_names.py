@@ -10,6 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from ipfc import dump_field
+from ipfc.harness import dodecagonal_projection, parse_config
+
+from conftest import random_field
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
@@ -59,21 +66,46 @@ def test_traced_names_resolve():
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
-def test_traced_evolve_run(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG)
+def _run_traced(tmp_path, *cli_args):
     spans = tmp_path / "spans.json"
     src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run(
-        [sys.executable, str(TRACER), str(spans), "evolve", str(cfg)],
+        [sys.executable, str(TRACER), str(spans), *cli_args],
         cwd=tmp_path,
         env=env,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    names = json.loads(spans.read_text())["names"]
+    return json.loads(spans.read_text())
+
+
+def test_traced_evolve_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    names = _run_traced(tmp_path, "evolve", str(cfg))["names"]
     assert "kernels.poly_eval" in names
     assert "kernels.bohr_fourier_sum" in names
+
+
+def test_traced_render_raster_size(tmp_path, rng):
+    # The benchmark's raster metrics read the kernel span's size as
+    # [modes, points]; the raster passes its last axis as the points.
+    P = " ; ".join(" ".join(repr(float(v)) for v in row) for row in dodecagonal_projection())
+    cfg = tmp_path / "render.cfg"
+    cfg.write_text(
+        f"[projection]\nd = 2\nn = 4\nP = {P}\nB = identity\nsizes = 6 6 6 6\n"
+        "\n[model]\nq = 1.0 1.9318516525781366\neps = -2.0\nalpha = 2.0\n"
+        "\n[render]\nwindow = 0.0 20.0 0.0 10.0\nresolution = 12 10\nfloor_rel = 1e-3\n"
+    )
+    grid = parse_config(cfg.read_text()).build_grid()
+    fld = random_field(grid, rng)
+    with open(tmp_path / "state.field", "w", encoding="utf-8") as fh:
+        dump_field(fld, fh)
+    doc = _run_traced(tmp_path, "render", str(cfg), str(tmp_path / "state.field"))
+    kernel = doc["names"].index("kernels.bohr_fourier_sum")
+    sizes = [span[4] for span in doc["spans"] if span[0] == kernel]
+    modes = int(np.count_nonzero(np.abs(fld.coeffs) > 1e-3 * np.abs(fld.coeffs).max()))
+    assert sizes == [[modes, 10]]
