@@ -32,9 +32,9 @@ from .field import (
     zeros_field,
 )
 from .lattice import IndexGrid, OperatorSymbol, ProjectionSpec, build_grid, build_symbol, sample_real_space
-from .model import ModelParams, energy
-from .sav_cn import StepReport, evolve, init_state, modified_energy
-from .sdc import sdc_solve
+from .model import ModelParams, bulk_mean
+from .sav_cn import StepReport, _node_report, evolve, init_state
+from .sdc import _sdc_blocks, sdc_solve
 
 __all__ = [
     "ExperimentConfig",
@@ -201,6 +201,11 @@ class TimeCfg(_Section):
             raise ConfigError(f"[time] scheme must be sav_cn or sav_cn_sdc, got {self.scheme!r}")
         if self.T <= 0 or self.nt < 1:
             raise ConfigError("[time] needs T > 0 and nt >= 1")
+        if self.scheme == "sav_cn_sdc":
+            try:
+                _sdc_blocks(self.nt, self.sweeps, self.block)
+            except ValueError as exc:
+                raise ConfigError(f"[time] {exc}") from None
 
 
 @dataclass
@@ -638,11 +643,8 @@ def write_pgm(path: str, raster: np.ndarray) -> None:
 
 def _initial_report(phi0, symbol, params, dealias) -> StepReport:
     state = init_state(phi0, symbol, params, dealias=dealias)
-    e_mod = modified_energy(state, symbol, params)
-    e_orig = energy(phi0, symbol, params, dealias=dealias)
-    return StepReport(
-        modified_energy=e_mod, original_energy=e_orig, r_value=state.r, w_norm_sq=0.0
-    )
+    nu = bulk_mean(phi0, params, dealias=dealias)
+    return _node_report(phi0, None, 0.0, state.r_dev, state.sqrt_c1, nu, symbol)
 
 
 def _run_scheme(phi0, symbol, params, dealias: bool, tcfg: TimeCfg, on_node=None) -> SpectralField:

@@ -119,15 +119,20 @@ def variational_derivative(
     return apply_symbol(f, symbol, power=2) + nprime(f, params, dealias=dealias)
 
 
+def _nprime_and_bulk_mean(f: SpectralField, params: ModelParams, dealias: bool):
+    """N'(f) and the bulk mean of f, from a single set of samples of f."""
+    v, factor = _physical_samples(f, dealias)
+    nu = float(poly_eval(v, _bulk_terms(params)).mean())
+    return _samples_to_spectral(poly_eval(v, _nprime_terms(params)), f.grid, factor), nu
+
+
 def sav_ingredients(
     fbar: SpectralField, params: ModelParams, dealias: bool = False
 ):
     """The auxiliary-variable ratio field u = N'(fbar)/sqrt(F1(fbar)) together
     with sqrt(F1(fbar)), sharing a single transform of fbar."""
-    v, factor = _physical_samples(fbar, dealias)
-    nu = float(poly_eval(v, _bulk_terms(params)).mean())
+    npf, nu = _nprime_and_bulk_mean(fbar, params, dealias)
     sqrt_f1 = float(np.sqrt(_shifted_bulk(nu, params)))
-    npf = _samples_to_spectral(poly_eval(v, _nprime_terms(params)), fbar.grid, factor)
     return npf / sqrt_f1, sqrt_f1
 
 

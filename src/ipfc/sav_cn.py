@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BulkPositivityError, NumericalError
-from .field import SpectralField, _coeff_inner, enforce_hermitian, hermitian_violation
+from .field import SpectralField, _coeff_inner, enforce_hermitian, hermitian_violation, project_mean
 from .lattice import OperatorSymbol
 from .model import ModelParams, bulk_mean, sav_ingredients, sqrt_f1_deviation
 
@@ -90,15 +90,29 @@ def init_state(
 
 @dataclass
 class _StepInternals:
-    sqrt_f1: float
     u: SpectralField
     s_value: float
-    gamma: float
 
 
-def _grad_part(phi_coeffs: np.ndarray, symbol: OperatorSymbol) -> float:
-    gc = symbol.g * phi_coeffs
-    return 0.5 * float(np.vdot(gc, gc).real)
+def _node_report(
+    phi: SpectralField, prev: Optional[SpectralField], tau: float, r_dev: float,
+    sqrt_c1: float, nu: float, symbol: OperatorSymbol,
+) -> StepReport:
+    """Energy row of node field phi, reached from prev (None at the initial
+    node) over a step tau, with auxiliary deviation r_dev and bulk mean nu."""
+    gc = symbol.g * phi.coeffs
+    grad = 0.5 * float(np.vdot(gc, gc).real)
+    if prev is None:
+        w_norm_sq = 0.0
+    else:
+        diff = phi.coeffs - prev.coeffs
+        w_norm_sq = float(np.vdot(diff, diff).real) / (tau * tau)
+    return StepReport(
+        modified_energy=grad + r_dev * (2.0 * sqrt_c1 + r_dev),
+        original_energy=grad + nu,
+        r_value=sqrt_c1 + r_dev,
+        w_norm_sq=w_norm_sq,
+    )
 
 
 def _cn_step_full(
@@ -119,58 +133,41 @@ def _cn_step_full(
         fbar = 1.5 * phi - 0.5 * state.phi_prev
 
     u, sqrt_f1 = sav_ingredients(fbar, params, dealias=dealias)
-    u_c = u.coeffs.copy()
-    u_c.ravel()[grid.zero_index] = 0.0  # mass constraint: u acts in the mean-zero space
+    u_c = project_mean(u).coeffs  # mass constraint: u acts in the mean-zero space
 
     phi_c = phi.coeffs
-    r_n = state.r
     u_phi = _coeff_inner(u_c, phi_c)
 
     g2 = symbol.g2
     denom = 1.0 + (0.5 * tau) * g2
-    c = phi_c * (1.0 - 0.5 * tau * g2) + (0.25 * tau * u_phi - tau * r_n) * u_c
+    c = phi_c * (1.0 - 0.5 * tau * g2) + (0.25 * tau * u_phi - tau * state.r) * u_c
 
     gamma = _coeff_inner(u_c / denom, u_c)
     s = _coeff_inner(c / denom, u_c) / (1.0 + 0.25 * tau * gamma)
-    phi_new_c = (c - 0.25 * tau * s * u_c) / denom
-
-    r_inc = 0.5 * _coeff_inner(phi_new_c - phi_c, u_c)
-    r_dev_new = state.r_dev + r_inc
-
-    phi_new = enforce_hermitian(SpectralField(grid, phi_new_c))
+    phi_new = enforce_hermitian(SpectralField(grid, (c - 0.25 * tau * s * u_c) / denom))
     phi_new.coeffs.ravel()[grid.zero_index] = 0.0
 
-    diff = phi_new.coeffs - phi_c
-    w_norm_sq = float(np.vdot(diff, diff).real) / (tau * tau)
-
-    grad = _grad_part(phi_new.coeffs, symbol)
-    modified = grad + r_dev_new * (2.0 * state.sqrt_c1 + r_dev_new)
-    original = grad + bulk_mean(phi_new, params, dealias=dealias)
-
-    checks = (sqrt_f1, gamma, s, r_inc, grad, original, w_norm_sq)
+    # The increment is taken on the stored field, so an SDC refreeze of the
+    # node fields reproduces it exactly.
+    r_inc = 0.5 * _coeff_inner(phi_new.coeffs - phi_c, u_c)
+    new_state = StepperState(
+        phi=phi_new,
+        phi_prev=phi,
+        r_dev=state.r_dev + r_inc,
+        sqrt_c1=state.sqrt_c1,
+        t=state.t + tau,
+    )
+    report = _node_report(
+        phi_new, phi, tau, new_state.r_dev, state.sqrt_c1,
+        bulk_mean(phi_new, params, dealias=dealias), symbol,
+    )
+    checks = (sqrt_f1, gamma, s, r_inc, report.original_energy, report.w_norm_sq)
     if not np.all(np.isfinite(checks)):
         raise NumericalError(
             "non-finite values in the step (check the step size and c1): "
             + repr(checks)
         )
-
-    new_state = StepperState(
-        phi=phi_new,
-        phi_prev=phi,
-        r_dev=r_dev_new,
-        sqrt_c1=state.sqrt_c1,
-        t=state.t + tau,
-    )
-    report = StepReport(
-        modified_energy=modified,
-        original_energy=original,
-        r_value=new_state.r,
-        w_norm_sq=w_norm_sq,
-    )
-    internals = _StepInternals(
-        sqrt_f1=sqrt_f1, u=SpectralField(grid, u_c), s_value=s, gamma=gamma
-    )
-    return new_state, report, internals
+    return new_state, report, _StepInternals(u=SpectralField(grid, u_c), s_value=s)
 
 
 def cn_step(
@@ -187,8 +184,7 @@ def cn_step(
 
 def modified_energy(state: StepperState, symbol: OperatorSymbol, params: ModelParams) -> float:
     """1/2 ||G phi||^2 + R^2 - c1, the quantity the stepper provably decays."""
-    grad = _grad_part(state.phi.coeffs, symbol)
-    return grad + state.r_dev * (2.0 * state.sqrt_c1 + state.r_dev)
+    return _node_report(state.phi, None, 0.0, state.r_dev, state.sqrt_c1, 0.0, symbol).modified_energy
 
 
 def evolve(

@@ -1,17 +1,22 @@
 """Spectral deferred correction on Chebyshev nodes.
 
-A low-order predictor trajectory is produced by the Crank-Nicolson stepper on
-the clustered node set t_n = T/2 - T/2 cos(n pi / N_T); interpolatory
-quadrature of the captured right-hand sides then feeds a linear correction
-sweep that solves an error equation interval by interval.  One sweep lifts
-the global order from two to four.
+The predictor is the Crank-Nicolson stepper run over the clustered node set
+t_n = T/2 - T/2 cos(n pi / N_T); interpolatory quadrature of the node
+right-hand sides then feeds a linear correction sweep that solves an error
+equation interval by interval.  One sweep lifts the global order from two
+to four.
+
+`_refreeze` is the one place node fields become an `SdcTrajectory`: in one
+pass it stores each node's right-hand side (a row of one nodes x modes
+array), its auxiliary-scalar deviation and its energy row, and each
+interval's frozen ratio coefficient.  It runs after the predictor and after
+every sweep, and the energy rows of the final pass are the run's records.
 
 Large node counts are handled by partitioning [0, T] into blocks of at most
-`block` intervals (4096 by default), applying predictor + sweeps per block
-and chaining the endpoint states.  `sdc_solve` raises the 64-node guard of
-`integration_matrix` to the block size, so a single grid interpolates over
-up to `block` intervals; the closed-form quadrature stays accurate to about
-1e-12 beyond 2000 nodes.
+`block` intervals (4096 by default, at least two per block), applying
+predictor + sweeps per block and chaining the endpoint states.  The
+closed-form quadrature needs no node-count guard: it matches exact interval
+integrals to round-off at thousands of nodes.
 """
 
 from __future__ import annotations
@@ -24,15 +29,8 @@ import numpy as np
 from .errors import NumericalError
 from .field import SpectralField, _coeff_inner, enforce_hermitian, project_mean
 from .lattice import OperatorSymbol
-from .model import (
-    ModelParams,
-    bulk_mean,
-    nprime,
-    sav_ingredients,
-    sqrt_f1_deviation,
-    variational_derivative,
-)
-from .sav_cn import StepReport, _cn_step_full, _grad_part, init_state
+from .model import ModelParams, _nprime_and_bulk_mean, nprime, sav_ingredients, sqrt_f1_deviation
+from .sav_cn import StepReport, _node_report, evolve, init_state
 
 __all__ = [
     "ChebGrid",
@@ -44,8 +42,6 @@ __all__ = [
     "correct",
     "sdc_solve",
 ]
-
-MAX_QUADRATURE_NODES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,22 +81,16 @@ class IntegrationMatrix:
     S: np.ndarray
 
 
-def integration_matrix(grid: ChebGrid, max_nodes: int = MAX_QUADRATURE_NODES) -> IntegrationMatrix:
+def integration_matrix(grid: ChebGrid) -> IntegrationMatrix:
     """Interpolatory weights, built by expanding each nodal cardinal in the
     Chebyshev basis and integrating term-wise.
 
     At these clustered nodes the cardinal coefficients are a plain cosine
     transform, a[k, j] = 2 cos(k j pi / N) / (N c_k c_j) with c_0 = c_N = 2,
     so the construction involves no ill-conditioned solve and stays accurate
-    far beyond the default node guard (raise `max_nodes` deliberately for
-    single-grid runs with many intervals).
+    to round-off for thousands of nodes.
     """
     n = grid.nodes.size - 1
-    if n > max_nodes:
-        raise ValueError(
-            f"{n} intervals exceed the {max_nodes}-node guard; "
-            "partition the horizon into blocks or raise max_nodes"
-        )
     theta = np.pi * np.arange(n + 1) / n
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
@@ -126,24 +116,15 @@ def integration_matrix(grid: ChebGrid, max_nodes: int = MAX_QUADRATURE_NODES) ->
 
 @dataclass(eq=False)
 class SdcTrajectory:
-    """Predictor snapshots: fields, auxiliary-scalar deviations and full
-    right-hand sides at every node, plus the frozen per-interval ratio
-    coefficients the correction sweep reuses."""
+    """One block's node fields with what the correction sweep and the energy
+    rows need along them; built only by `_refreeze`."""
 
     grid: ChebGrid
     phis: List[SpectralField]
-    r_devs: np.ndarray
-    ws: List[SpectralField]      # mean-free G^2 phi + N'(phi) per node
+    r_devs: np.ndarray           # R - sqrt(c1) per node
+    ws: np.ndarray               # (nodes, modes): mean-free G^2 phi + N'(phi) per node
     kappas: np.ndarray           # frozen R^{n+1/2} / sqrt(F1(fbar)) per interval
-    sqrt_c1: float
-
-
-def _w_node(
-    phi: SpectralField, symbol: OperatorSymbol, params: ModelParams, dealias: bool
-) -> SpectralField:
-    # The stepped flow is the mean-constrained one, so its right-hand side
-    # carries no zero mode.
-    return project_mean(variational_derivative(phi, symbol, params, dealias=dealias))
+    reports: List[StepReport]    # energy row per node
 
 
 def predict(
@@ -153,29 +134,14 @@ def predict(
     params: ModelParams,
     dealias: bool = False,
 ) -> SdcTrajectory:
-    """Run the Crank-Nicolson stepper over the node set, capturing the
-    trajectory data the correction sweep needs."""
-    state = init_state(phi0, symbol, params, dealias=dealias)
+    """Run the Crank-Nicolson stepper over the node set and build the
+    trajectory along its fields."""
     phis = [phi0]
-    r_devs = [state.r_dev]
-    ws = [_w_node(phi0, symbol, params, dealias)]
-    kappas = []
-    for tau in grid.taus:
-        new_state, _, internals = _cn_step_full(state, float(tau), symbol, params, dealias=dealias)
-        r_half = state.sqrt_c1 + 0.5 * (state.r_dev + new_state.r_dev)
-        kappas.append(r_half / internals.sqrt_f1)
-        phis.append(new_state.phi)
-        r_devs.append(new_state.r_dev)
-        ws.append(_w_node(new_state.phi, symbol, params, dealias))
-        state = new_state
-    return SdcTrajectory(
-        grid=grid,
-        phis=phis,
-        r_devs=np.asarray(r_devs),
-        ws=ws,
-        kappas=np.asarray(kappas),
-        sqrt_c1=state.sqrt_c1,
+    evolve(
+        init_state(phi0, symbol, params, dealias=dealias), grid.nodes, symbol, params,
+        dealias=dealias, on_step=lambda i, state, report: phis.append(state.phi),
     )
+    return _refreeze(phis, grid, symbol, params, dealias)
 
 
 def _fbar(phis: List[SpectralField], n: int) -> SpectralField:
@@ -211,10 +177,9 @@ def correct(
     g2 = symbol.g2
     grid0 = traj.phis[0].grid
     zero = grid0.zero_index
-    # All interval quadratures at once: rows of S against the stacked
+    # All interval quadratures at once: rows of S against the node
     # right-hand sides.
-    w_mat = np.stack([w.coeffs.ravel() for w in traj.ws])
-    q_all = S.S @ w_mat
+    q_all = S.S @ traj.ws
 
     eps_prev: Optional[SpectralField] = None
     eps = SpectralField(grid0, np.zeros_like(traj.phis[0].coeffs))
@@ -229,14 +194,12 @@ def correct(
             ebar = 1.5 * eps - 0.5 * eps_prev
         fb = _fbar(traj.phis, n)
         bracket = nprime(fb + ebar, params, dealias=dealias) - nprime(fb, params, dealias=dealias)
-        bracket_c = bracket.coeffs.copy()
-        bracket_c.ravel()[zero] = 0.0
 
         rhs = (
             eps.coeffs * (1.0 - 0.5 * tau * g2)
             - q_n
             - (traj.phis[n + 1].coeffs - traj.phis[n].coeffs)
-            - tau * traj.kappas[n] * bracket_c
+            - tau * traj.kappas[n] * project_mean(bracket).coeffs
         )
         eps_new = enforce_hermitian(SpectralField(grid0, rhs / (1.0 + 0.5 * tau * g2)))
         zc = eps_new.coeffs.ravel()[zero]
@@ -256,40 +219,52 @@ def _refreeze(
     params: ModelParams,
     dealias: bool = False,
 ) -> SdcTrajectory:
-    """Rebuild trajectory data along given node fields: recompute the
-    right-hand sides and re-run the auxiliary-scalar update to re-freeze the
-    ratio coefficients (used between sweeps and for reporting)."""
-    nu0 = bulk_mean(phis[0], params, dealias=dealias)
+    """Build the trajectory along given node fields in one pass.
+
+    Each node field is sampled once for its right-hand side and its bulk
+    mean.  Each interval re-runs the stepper's auxiliary-scalar update on the
+    same operands (u frozen at the extrapolant, the increment taken on the
+    stored fields) and freezes its ratio coefficient, so along the
+    predictor's own fields this reproduces the stepper bit for bit."""
+    grid0 = phis[0].grid
     sqrt_c1 = float(np.sqrt(params.c1))
-    r_devs = [float(sqrt_f1_deviation(nu0, params.c1))]
-    ws = [_w_node(phis[0], symbol, params, dealias)]
-    kappas = []
-    zero = phis[0].grid.zero_index
-    for n in range(grid.taus.size):
-        fb = _fbar(phis, n)
-        u, sqrt_f1 = sav_ingredients(fb, params, dealias=dealias)
-        u_c = u.coeffs.copy()
-        u_c.ravel()[zero] = 0.0
-        inc = 0.5 * _coeff_inner(phis[n + 1].coeffs - phis[n].coeffs, u_c)
-        r_devs.append(r_devs[-1] + inc)
-        r_half = sqrt_c1 + 0.5 * (r_devs[-2] + r_devs[-1])
-        kappas.append(r_half / sqrt_f1)
-        ws.append(_w_node(phis[n + 1], symbol, params, dealias))
-    return SdcTrajectory(
-        grid=grid,
-        phis=list(phis),
-        r_devs=np.asarray(r_devs),
-        ws=ws,
-        kappas=np.asarray(kappas),
-        sqrt_c1=sqrt_c1,
-    )
+    ws = np.empty((len(phis), grid0.total), dtype=complex)
+    r_devs = np.empty(len(phis))
+    kappas = np.empty(len(phis) - 1)
+    reports = []
+    for n, phi in enumerate(phis):
+        npf, nu = _nprime_and_bulk_mean(phi, params, dealias)
+        # The stepped flow is the mean-constrained one, so its right-hand
+        # side carries no zero mode.
+        ws[n] = (phi.coeffs * symbol.g2 + npf.coeffs).ravel()
+        ws[n, grid0.zero_index] = 0.0
+        if n == 0:
+            prev, tau = None, 0.0
+            r_devs[0] = sqrt_f1_deviation(nu, params.c1)
+        else:
+            prev, tau = phis[n - 1], float(grid.taus[n - 1])
+            u, sqrt_f1 = sav_ingredients(_fbar(phis, n - 1), params, dealias=dealias)
+            u_c = project_mean(u).coeffs
+            r_devs[n] = r_devs[n - 1] + 0.5 * _coeff_inner(phi.coeffs - prev.coeffs, u_c)
+            kappas[n - 1] = (sqrt_c1 + 0.5 * (r_devs[n - 1] + r_devs[n])) / sqrt_f1
+        reports.append(_node_report(phi, prev, tau, float(r_devs[n]), sqrt_c1, nu, symbol))
+    return SdcTrajectory(grid=grid, phis=phis, r_devs=r_devs, ws=ws, kappas=kappas, reports=reports)
 
 
-def _block_counts(n_t: int, block: int) -> List[int]:
-    if n_t <= block:
-        return [n_t]
-    n_blocks = -(-n_t // block)  # ceil
+def _sdc_blocks(n_t: int, sweeps: int, block: int) -> List[int]:
+    """Interval counts of the blocks an SDC run of n_t intervals is split
+    into, after checking its settings: each block needs two intervals."""
+    if sweeps < 0:
+        raise ValueError("sweeps must be >= 0")
+    if block < 2:
+        raise ValueError("block must be >= 2")
+    n_blocks = max(1, -(-n_t // block))  # ceil
     base, rem = divmod(n_t, n_blocks)
+    if base < 2:
+        raise ValueError(
+            f"nt = {n_t} in blocks of at most {block} intervals leaves a block of "
+            f"{base}; each SDC block needs at least two intervals"
+        )
     return [base + 1] * rem + [base] * (n_blocks - rem)
 
 
@@ -319,23 +294,18 @@ def sdc_solve(
     node_hook(step, t, tau, report, phi), if given, is called for every node
     after the initial one as soon as its block is corrected.
     """
-    if sweeps < 0:
-        raise ValueError("sweeps must be >= 0")
-    if block < 2:
-        raise ValueError("block must be >= 2")
-    counts = _block_counts(int(n_t), int(block))
+    counts = _sdc_blocks(int(n_t), int(sweeps), int(block))
     records: List[tuple] = []
     matrices: dict = {}
 
     phi = phi0
     t_offset = 0.0
-    first = True
     for count in counts:
         t_b = T * count / float(n_t)
         grid_b = cheb_nodes(t_b, count)
         key = (count, t_b)
         if key not in matrices:
-            matrices[key] = integration_matrix(grid_b, max_nodes=max(count, MAX_QUADRATURE_NODES))
+            matrices[key] = integration_matrix(grid_b)
         S = matrices[key]
 
         traj = predict(phi, grid_b, symbol, params, dealias=dealias)
@@ -343,30 +313,14 @@ def sdc_solve(
             phis = correct(traj, grid_b, S, symbol, params, dealias=dealias)
             traj = _refreeze(phis, grid_b, symbol, params, dealias=dealias)
 
-        for n, phi_n in enumerate(traj.phis):
+        # A later block's first node is the previous block's last one.
+        for n in range(1 if records else 0, count + 1):
             t_node = t_offset + float(grid_b.nodes[n])
-            if n == 0:
-                if not first:
-                    continue
-                tau = 0.0
-                w_norm = 0.0
-            else:
-                tau = float(grid_b.taus[n - 1])
-                diff = phi_n.coeffs - traj.phis[n - 1].coeffs
-                w_norm = float(np.vdot(diff, diff).real) / (tau * tau)
-            grad = _grad_part(phi_n.coeffs, symbol)
-            r_dev = float(traj.r_devs[n])
-            report = StepReport(
-                modified_energy=grad + r_dev * (2.0 * traj.sqrt_c1 + r_dev),
-                original_energy=grad + bulk_mean(phi_n, params, dealias=dealias),
-                r_value=traj.sqrt_c1 + r_dev,
-                w_norm_sq=w_norm,
-            )
-            records.append((t_node, tau, report))
-            if node_hook is not None and len(records) > 1:
-                node_hook(len(records) - 1, t_node, tau, report, phi_n)
+            tau = float(grid_b.taus[n - 1]) if n else 0.0
+            records.append((t_node, tau, traj.reports[n]))
+            if node_hook is not None and n:
+                node_hook(len(records) - 1, t_node, tau, traj.reports[n], traj.phis[n])
 
         phi = traj.phis[-1]
         t_offset += t_b
-        first = False
     return phi, records

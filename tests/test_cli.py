@@ -84,6 +84,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "time", ["nt = 5\nblock = 2", "nt = 1", "nt = 8\nsweeps = -1", "nt = 8\nblock = 1"]
+)
+def test_sdc_time_settings_rejected_before_output(tmp_path, capsys, time):
+    # 5 intervals in blocks of 2 leave a last block of one interval; the run
+    # is refused before its output directory exists
+    cfg = tmp_path / "sdc.cfg"
+    cfg.write_text(CONFIG.replace("nt = 8", f"{time}\nscheme = sav_cn_sdc"))
+    assert main(["evolve", str(cfg)]) == 1
+    assert "[time]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["evolve", "/nonexistent/nowhere.cfg"]) == 1
 

@@ -64,10 +64,16 @@ def config_texts(draw):
         },
     )
     if draw(st.booleans()):
+        # valid for either scheme: SDC rejects sweeps < 0 and any block of
+        # fewer than two intervals (nt = 1, or odd nt in blocks of 2)
         section(
             "time",
-            {"T": POSITIVE, "nt": st.integers(1, 100).map(str)},
-            {"scheme": st.sampled_from(SCHEMES), "sweeps": INT, "block": INT},
+            {"T": POSITIVE, "nt": st.integers(2, 100).map(str)},
+            {
+                "scheme": st.sampled_from(SCHEMES),
+                "sweeps": st.integers(0, 1000).map(str),
+                "block": st.integers(3, 1000).map(str),
+            },
         )
     if draw(st.booleans()):
         kind = draw(st.sampled_from(["sine", "mode_list", "field_file"]))

@@ -90,6 +90,30 @@ def test_traced_evolve_run(tmp_path):
     assert "kernels.bohr_fourier_sum" in names
 
 
+def test_traced_sdc_run(tmp_path):
+    # The benchmark counts SDC nodes as the steps inside sdc_solve and
+    # divides the correct() byte tally by them.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.replace("nt = 8", "nt = 8\nscheme = sav_cn_sdc\nsweeps = 1"))
+    doc = _run_traced(tmp_path, "evolve", str(cfg))
+    names, spans = doc["names"], doc["spans"]
+    for name in ("sdc.predict", "sdc.correct", "sdc.refreeze"):
+        assert name in names
+
+    def inside(i, name):
+        while i >= 0:
+            if names[spans[i][0]] == name:
+                return True
+            i = spans[i][3]
+        return False
+
+    steps = [i for i, span in enumerate(spans) if names[span[0]] == "sav_cn.cn_step"]
+    assert len(steps) == 8
+    assert all(inside(i, "sdc.sdc_solve") for i in steps)
+    tallies = [span[4] for span in spans if names[span[0]] == "sdc.correct"]
+    assert len(tallies) == 1 and tallies[0] > 0
+
+
 def test_traced_render_raster_size(tmp_path, rng):
     # The benchmark's raster metrics read the kernel span's size as
     # [modes, points]; the raster passes its last axis as the points.

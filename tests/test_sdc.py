@@ -14,7 +14,7 @@ from ipfc import (
     zeros_field,
 )
 from ipfc.errors import NumericalError
-from ipfc.model import ModelParams
+from ipfc.model import ModelParams, bulk_mean, energy
 
 from conftest import Q_BENCH, grid_1d, params_bench, random_field, sine_field
 
@@ -67,15 +67,13 @@ def test_integration_matrix_monomial_exactness(nt):
         assert err.max() <= 1e-12 * max(np.abs(exact).max(), 1e-300)
 
 
-def test_integration_matrix_guard():
-    g = cheb_nodes(1.0, 65)
-    with pytest.raises(ValueError):
-        integration_matrix(g)
-    # deliberate override works and stays accurate
-    S = integration_matrix(g, max_nodes=65)
-    f = g.nodes**65
-    exact = (g.nodes[1:] ** 66 - g.nodes[:-1] ** 66) / 66
-    assert np.abs(S.S @ f - exact).max() <= 1e-12
+@pytest.mark.parametrize("nt", [65, 2048])
+def test_integration_matrix_many_nodes(nt):
+    # the cosine-transform construction needs no node-count guard
+    g = cheb_nodes(1.0, nt)
+    S = integration_matrix(g)
+    exact = np.exp(g.nodes[1:]) - np.exp(g.nodes[:-1])
+    assert np.abs(S.S @ np.exp(g.nodes) - exact).max() <= 1e-12
 
 
 def test_predict_zero_data(bench_1d):
@@ -95,9 +93,14 @@ def test_predict_matches_evolve_bitwise(bench_1d, rng):
     g = cheb_nodes(0.05, 8)
     traj = predict(phi0, g, symbol, params)
 
-    st = init_state(phi0, symbol, params)
-    st, _ = evolve(st, g.nodes, symbol, params)
-    np.testing.assert_array_equal(traj.phis[-1].coeffs, st.phi.coeffs)
+    states = [init_state(phi0, symbol, params)]
+    _, reports = evolve(
+        states[0], g.nodes, symbol, params, on_step=lambda i, st, rep: states.append(st)
+    )
+    for phi, st in zip(traj.phis, states):
+        np.testing.assert_array_equal(phi.coeffs, st.phi.coeffs)
+    assert list(traj.r_devs) == [st.r_dev for st in states]
+    assert traj.reports[1:] == reports
 
 
 def test_correct_zero_predictor_stays_zero(bench_1d):
@@ -252,10 +255,71 @@ def test_sdc_node_hook_streams_per_block(bench_1d, rng, monkeypatch):
     assert seen[-1][4] is final
 
 
-def test_sdc_validation(bench_1d, rng):
+def _block_trajectories(monkeypatch):
+    """Record every trajectory sdc_solve builds, in order."""
+    import ipfc.sdc as sdc_mod
+
+    built = []
+    real_refreeze = sdc_mod._refreeze
+
+    def recording_refreeze(*args, **kwargs):
+        built.append(real_refreeze(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sdc_mod, "_refreeze", recording_refreeze)
+    return built
+
+
+@pytest.mark.parametrize("sweeps", [0, 1, 2])
+@pytest.mark.parametrize("n_t, block", [(8, 4096), (12, 4)])
+def test_sdc_records_match_node_fields(bench_1d, rng, monkeypatch, sweeps, n_t, block):
+    # every record is the energy row of the node field it is emitted with,
+    # read off the block's final trajectory
     spec, grid, symbol, params = bench_1d
     phi0 = random_field(grid, rng, scale=0.2)
+    built = _block_trajectories(monkeypatch)
+    phis = [phi0]
+    _, records = sdc_solve(
+        phi0, 0.05, n_t, symbol, params, sweeps=sweeps, block=block,
+        node_hook=lambda step, t, tau, rep, phi: phis.append(phi),
+    )
+    n_blocks = -(-n_t // block)
+    assert len(built) == n_blocks * (sweeps + 1)
+    finals = built[sweeps :: sweeps + 1]
+    per_block = n_t // n_blocks
+    sqrt_c1 = np.sqrt(params.c1)
+    for i, ((t, tau, rep), phi) in enumerate(zip(records, phis)):
+        b, n = (0, 0) if i == 0 else divmod(i - 1, per_block)
+        n = n + 1 if i else 0
+        traj = finals[b]
+        assert traj.phis[n] is phi
+        assert rep.original_energy == energy(phi, symbol, params)
+        if i == 0:
+            assert rep.w_norm_sq == 0.0
+        else:
+            diff = phi.coeffs - phis[i - 1].coeffs
+            assert rep.w_norm_sq == float(np.vdot(diff, diff).real) / (tau * tau)
+        r_dev = float(traj.r_devs[n])
+        assert rep.r_value == sqrt_c1 + r_dev
+        grad = energy(phi, symbol, params) - bulk_mean(phi, params)
+        assert rep.modified_energy == pytest.approx(grad + r_dev * (2 * sqrt_c1 + r_dev), rel=1e-13)
+
+
+def test_sdc_validation(bench_1d, rng, monkeypatch):
+    # every setting is checked before the first block is predicted; 5
+    # intervals in blocks of 2 would otherwise fail only at the last block
+    import ipfc.sdc as sdc_mod
+
+    spec, grid, symbol, params = bench_1d
+    phi0 = random_field(grid, rng, scale=0.2)
+    calls = []
+    monkeypatch.setattr(sdc_mod, "predict", lambda *a, **k: calls.append(None))
     with pytest.raises(ValueError):
         sdc_solve(phi0, 0.1, 8, symbol, params, sweeps=-1)
     with pytest.raises(ValueError):
         sdc_solve(phi0, 0.1, 8, symbol, params, block=1)
+    with pytest.raises(ValueError, match="at least two intervals"):
+        sdc_solve(phi0, 0.1, 5, symbol, params, block=2)
+    with pytest.raises(ValueError, match="at least two intervals"):
+        sdc_solve(phi0, 0.1, 1, symbol, params)
+    assert calls == []
