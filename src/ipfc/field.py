@@ -30,6 +30,8 @@ __all__ = [
     "axpy",
     "to_physical",
     "to_spectral",
+    "samples_to_spectral",
+    "poly_samples",
     "pointwise_poly",
     "pointwise_poly_mean",
     "apply_symbol",
@@ -85,16 +87,38 @@ class SpectralField:
 
 @dataclass(eq=False)
 class PhysicalField:
-    """Real samples on the collocation points of the embedding grid."""
+    """Real samples on the collocation points of the embedding grid, or of
+    that grid refined `factor` times per axis (the dealiasing grid).
+    Sampling is linear, so combinations of samples are the samples of the
+    same combination of fields.  Treated as an immutable value."""
 
     grid: IndexGrid
     values: np.ndarray
+    factor: int = 1
 
     def __post_init__(self) -> None:
+        shape = tuple(self.factor * nj for nj in self.grid.sizes)
         v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.sizes:
-            v = v.reshape(self.grid.sizes)
+        if v.shape != shape:
+            v = v.reshape(shape)
         self.values = v
+
+    def _check(self, other: "PhysicalField") -> None:
+        if self.grid is not other.grid or self.factor != other.factor:
+            raise GridMismatchError("samples live on different grids")
+
+    def __add__(self, other: "PhysicalField") -> "PhysicalField":
+        self._check(other)
+        return PhysicalField(self.grid, self.values + other.values, self.factor)
+
+    def __sub__(self, other: "PhysicalField") -> "PhysicalField":
+        self._check(other)
+        return PhysicalField(self.grid, self.values - other.values, self.factor)
+
+    def __mul__(self, scalar) -> "PhysicalField":
+        return PhysicalField(self.grid, self.values * float(scalar), self.factor)
+
+    __rmul__ = __mul__
 
 
 def zeros_field(grid: IndexGrid) -> SpectralField:
@@ -166,17 +190,26 @@ def norm_ap(f: SpectralField) -> float:
     return float(np.linalg.norm(f.coeffs.ravel()))
 
 
-def to_physical(f: SpectralField) -> PhysicalField:
-    """Inverse transform to collocation values; imaginary parts are asserted
+def to_physical(f: SpectralField, dealias: bool = False, pad_factor: int = 2) -> PhysicalField:
+    """Inverse transform to collocation values, on the grid refined by
+    `pad_factor` when `dealias` is set; imaginary parts are asserted
     negligible and dropped."""
-    vals = np.fft.ifftn(f.coeffs) * f.grid.total
+    if dealias:
+        big = _embed_padded(f.coeffs, f.grid.sizes, pad_factor)
+        vals, factor = np.fft.ifftn(big) * big.size, pad_factor
+    else:
+        vals, factor = np.fft.ifftn(f.coeffs) * f.grid.total, 1
     _assert_real(vals, f.coeffs)
-    return PhysicalField(f.grid, np.ascontiguousarray(vals.real))
+    return PhysicalField(f.grid, np.ascontiguousarray(vals.real), factor)
 
 
 def to_spectral(p: PhysicalField) -> SpectralField:
-    """Forward transform of collocation values to coefficients."""
-    return SpectralField(p.grid, np.fft.fftn(p.values) / p.grid.total)
+    """Forward transform of collocation values to coefficients; samples on a
+    refined grid are truncated back to the grid's modes."""
+    if p.factor == 1:
+        return SpectralField(p.grid, np.fft.fftn(p.values) / p.grid.total)
+    out = _extract_truncated(np.fft.fftn(p.values) / p.values.size, p.grid.sizes, p.factor)
+    return SpectralField(p.grid, out)
 
 
 def _assert_real(vals: np.ndarray, coeffs: np.ndarray) -> None:
@@ -229,25 +262,14 @@ def _validate_terms(terms):
     return terms
 
 
-def _physical_samples(f: SpectralField, dealias: bool, pad_factor: int = 2):
-    """Collocation values of the field, on the grid padded by `pad_factor`
-    when `dealias` is set.  Returns (values, factor)."""
-    if not dealias:
-        return to_physical(f).values, 1
-    big = _embed_padded(f.coeffs, f.grid.sizes, pad_factor)
-    vals = np.fft.ifftn(big) * big.size
-    _assert_real(vals, f.coeffs)
-    return np.ascontiguousarray(vals.real), pad_factor
+def samples_to_spectral(p: PhysicalField) -> SpectralField:
+    """Coefficients of (possibly refined) samples, re-symmetrized."""
+    return enforce_hermitian(to_spectral(p))
 
 
-def _samples_to_spectral(w: np.ndarray, grid: IndexGrid, factor: int) -> SpectralField:
-    """Forward transform of (possibly padded) samples, truncated back to the
-    grid and re-symmetrized."""
-    if factor == 1:
-        out = to_spectral(PhysicalField(grid, w)).coeffs
-    else:
-        out = _extract_truncated(np.fft.fftn(w) / w.size, grid.sizes, factor)
-    return enforce_hermitian(SpectralField(grid, out))
+def poly_samples(p: PhysicalField, terms) -> PhysicalField:
+    """Pointwise polynomial of samples; `terms` as in `pointwise_poly`."""
+    return PhysicalField(p.grid, poly_eval(p.values, terms), p.factor)
 
 
 def pointwise_poly(
@@ -261,8 +283,7 @@ def pointwise_poly(
     degree up to pad_factor + 1.  The result is re-symmetrized.
     """
     terms = _validate_terms(terms)
-    v, factor = _physical_samples(f, dealias, pad_factor)
-    return _samples_to_spectral(poly_eval(v, terms), f.grid, factor)
+    return samples_to_spectral(poly_samples(to_physical(f, dealias, pad_factor), terms))
 
 
 def pointwise_poly_mean(
@@ -270,8 +291,7 @@ def pointwise_poly_mean(
 ) -> float:
     """Spatial mean of a pointwise polynomial of the field (its zero mode)."""
     terms = _validate_terms(terms)
-    v, _ = _physical_samples(f, dealias, pad_factor)
-    return float(poly_eval(v, terms).mean())
+    return float(poly_eval(to_physical(f, dealias, pad_factor).values, terms).mean())
 
 
 # -- diagonal operators --------------------------------------------------------

@@ -32,8 +32,8 @@ from .field import (
     zeros_field,
 )
 from .lattice import IndexGrid, OperatorSymbol, ProjectionSpec, build_grid, build_symbol, sample_real_space
-from .model import ModelParams, bulk_mean
-from .sav_cn import StepReport, _node_report, evolve, init_state
+from .model import ModelParams
+from .sav_cn import StepReport, StepperState, evolve, init_state, initial_report
 from .sdc import _sdc_blocks, sdc_solve
 
 __all__ = [
@@ -641,20 +641,17 @@ def write_pgm(path: str, raster: np.ndarray) -> None:
 # -- drivers ---------------------------------------------------------------------
 
 
-def _initial_report(phi0, symbol, params, dealias) -> StepReport:
-    state = init_state(phi0, symbol, params, dealias=dealias)
-    nu = bulk_mean(phi0, params, dealias=dealias)
-    return _node_report(phi0, None, 0.0, state.r_dev, state.sqrt_c1, nu, symbol)
-
-
-def _run_scheme(phi0, symbol, params, dealias: bool, tcfg: TimeCfg, on_node=None) -> SpectralField:
-    """Step phi0 over [0, T] with the configured scheme and return the final
-    field.  on_node(step, t, tau, report, phi), if given, is called for every
-    node after the initial one as soon as the scheme has finished it: each
-    step for `sav_cn`, each corrected block for `sav_cn_sdc`."""
+def _run_scheme(
+    state0: StepperState, symbol, params, dealias: bool, tcfg: TimeCfg, on_node=None
+) -> SpectralField:
+    """Step the initial state over [0, T] with the configured scheme and
+    return the final field.  on_node(step, t, tau, report, phi), if given,
+    is called for every node after the initial one as soon as the scheme has
+    finished it: each step for `sav_cn`, each corrected block for
+    `sav_cn_sdc`."""
     if tcfg.scheme == "sav_cn_sdc":
         return sdc_solve(
-            phi0, tcfg.T, tcfg.nt, symbol, params, sweeps=tcfg.sweeps, block=tcfg.block,
+            state0, tcfg.T, tcfg.nt, symbol, params, sweeps=tcfg.sweeps, block=tcfg.block,
             dealias=dealias, node_hook=on_node,
         )[0]
     times = np.linspace(0.0, tcfg.T, tcfg.nt + 1)
@@ -663,8 +660,7 @@ def _run_scheme(phi0, symbol, params, dealias: bool, tcfg: TimeCfg, on_node=None
         if on_node is not None:
             on_node(i, state.t, float(times[i] - times[i - 1]), report, state.phi)
 
-    state = init_state(phi0, symbol, params, dealias=dealias)
-    return evolve(state, times, symbol, params, dealias=dealias, on_step=on_step)[0].phi
+    return evolve(state0, times, symbol, params, dealias=dealias, on_step=on_step)[0].phi
 
 
 def _write_energy_csv(path: str, phi0, symbol, params, dealias: bool, tcfg: TimeCfg, on_node=None):
@@ -681,8 +677,9 @@ def _write_energy_csv(path: str, phi0, symbol, params, dealias: bool, tcfg: Time
             if on_node is not None:
                 on_node(t, phi)
 
-        row(0, 0.0, 0.0, _initial_report(phi0, symbol, params, dealias), phi0)
-        return _run_scheme(phi0, symbol, params, dealias, tcfg, on_node=row)
+        state0 = init_state(phi0, symbol, params, dealias=dealias)
+        row(0, 0.0, 0.0, initial_report(state0, symbol, params, dealias), phi0)
+        return _run_scheme(state0, symbol, params, dealias, tcfg, on_node=row)
 
 
 def _output_dir(cfg: ExperimentConfig, base_dir: str) -> str:
@@ -746,8 +743,10 @@ def run_convergence(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
     tcfg = cfg.time
     ccfg = cfg.convergence
 
+    state0 = init_state(phi0, symbol, params, dealias=cfg.model.dealias)
+
     def final(**change) -> SpectralField:
-        return _run_scheme(phi0, symbol, params, cfg.model.dealias, replace(tcfg, **change))
+        return _run_scheme(state0, symbol, params, cfg.model.dealias, replace(tcfg, **change))
 
     reference = final(scheme="sav_cn_sdc", nt=ccfg.reference_nt, sweeps=max(tcfg.sweeps, 1))
     rows: List[dict] = []

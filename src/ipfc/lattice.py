@@ -136,27 +136,38 @@ def _injectivity_violation(spec: ProjectionSpec, sizes, tol: float):
     """Search the difference lattice for a nonzero delta with P B delta ~ 0.
 
     Two modes h1, h2 collide iff their difference does, so scanning deltas
-    covers every pair without the quadratic pairwise sweep.
+    covers every pair without the quadratic pairwise sweep.  |P B delta| is
+    even in delta, so the half delta_0 >= 0 suffices; it is scanned one
+    delta_0 slab at a time, which bounds memory by one slab.
     """
     mat = spec.projected_basis
-    axes = [np.arange(-(nj - 1), nj) for nj in sizes]
+    axes = [np.arange(-(nj - 1), nj) for nj in sizes[1:]]
     shape = tuple(len(a) for a in axes)
-    ndim = len(sizes)
-    dist_sq = np.zeros(shape)
+    # Each row of P B applied to the trailing components of every delta.
+    rest = []
     for row in mat:
         comp = np.zeros(shape)
         for j, ax in enumerate(axes):
-            view = [1] * ndim
+            view = [1] * len(shape)
             view[j] = -1
-            comp = comp + row[j] * ax.reshape(view)
-        dist_sq += comp * comp
-    center = tuple(nj - 1 for nj in sizes)
-    dist_sq[center] = np.inf
-    pos = np.unravel_index(int(np.argmin(dist_sq)), shape)
-    best = float(dist_sq[pos])
+            comp = comp + row[j + 1] * ax.reshape(view)
+        rest.append(comp)
+    center = tuple(nj - 1 for nj in sizes[1:])
+    best, best_delta = np.inf, None
+    for d0 in range(sizes[0]):
+        dist_sq = np.zeros(shape)
+        for row, comp in zip(mat, rest):
+            c = comp + d0 * row[0]
+            dist_sq += c * c
+        if d0 == 0:
+            dist_sq[center] = np.inf  # delta = 0
+        k = int(np.argmin(dist_sq))
+        if dist_sq.flat[k] < best:
+            best = float(dist_sq.flat[k])
+            best_delta = (d0,) + tuple(int(p) - c for p, c in zip(np.unravel_index(k, shape), center))
     if best >= tol * tol:
         return None
-    delta = np.array([p - (nj - 1) for p, nj in zip(pos, sizes)], dtype=int)
+    delta = np.array(best_delta, dtype=int)
     h2 = np.array(
         [-nj // 2 if dj >= 0 else nj // 2 - 1 for dj, nj in zip(delta, sizes)], dtype=int
     )

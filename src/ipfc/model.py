@@ -17,12 +17,13 @@ from .errors import BulkPositivityError, NumericalError
 from .field import (
     PhysicalField,
     SpectralField,
-    _physical_samples,
-    _samples_to_spectral,
     apply_symbol,
     inner_ap,
     pointwise_poly,
     pointwise_poly_mean,
+    poly_samples,
+    samples_to_spectral,
+    to_physical,
 )
 from .lattice import OperatorSymbol
 
@@ -74,7 +75,7 @@ def _bulk_terms(params: ModelParams):
 
 def bulk_density(p: PhysicalField, params: ModelParams) -> PhysicalField:
     """Pointwise bulk energy density of collocation values."""
-    return PhysicalField(p.grid, poly_eval(p.values, _bulk_terms(params)))
+    return poly_samples(p, _bulk_terms(params))
 
 
 def nprime(f: SpectralField, params: ModelParams, dealias: bool = False) -> SpectralField:
@@ -119,21 +120,30 @@ def variational_derivative(
     return apply_symbol(f, symbol, power=2) + nprime(f, params, dealias=dealias)
 
 
-def _nprime_and_bulk_mean(f: SpectralField, params: ModelParams, dealias: bool):
-    """N'(f) and the bulk mean of f, from a single set of samples of f."""
-    v, factor = _physical_samples(f, dealias)
-    nu = float(poly_eval(v, _bulk_terms(params)).mean())
-    return _samples_to_spectral(poly_eval(v, _nprime_terms(params)), f.grid, factor), nu
+def nprime_of_samples(p: PhysicalField, params: ModelParams) -> SpectralField:
+    """N' of the field sampled by p: one forward transform."""
+    return samples_to_spectral(poly_samples(p, _nprime_terms(params)))
 
 
-def sav_ingredients(
-    fbar: SpectralField, params: ModelParams, dealias: bool = False
-):
+def nprime_increment(fbar: PhysicalField, ebar: PhysicalField, params: ModelParams) -> SpectralField:
+    """N'(fbar + ebar) - N'(fbar) of the fields sampled by fbar and ebar,
+    formed pointwise: one forward transform."""
+    terms = _nprime_terms(params)
+    return samples_to_spectral(poly_samples(fbar + ebar, terms) - poly_samples(fbar, terms))
+
+
+def bulk_mean_of_samples(p: PhysicalField, params: ModelParams) -> float:
+    """Spatial mean of the bulk density of the field sampled by p."""
+    return float(poly_eval(p.values, _bulk_terms(params)).mean())
+
+
+def sav_ingredients(fbar, params: ModelParams, dealias: bool = False):
     """The auxiliary-variable ratio field u = N'(fbar)/sqrt(F1(fbar)) together
-    with sqrt(F1(fbar)), sharing a single transform of fbar."""
-    npf, nu = _nprime_and_bulk_mean(fbar, params, dealias)
-    sqrt_f1 = float(np.sqrt(_shifted_bulk(nu, params)))
-    return npf / sqrt_f1, sqrt_f1
+    with sqrt(F1(fbar)).  fbar is a SpectralField or, saving its inverse
+    transform, its samples (a PhysicalField, whose grid replaces `dealias`)."""
+    p = fbar if isinstance(fbar, PhysicalField) else to_physical(fbar, dealias)
+    sqrt_f1 = float(np.sqrt(_shifted_bulk(bulk_mean_of_samples(p, params), params)))
+    return nprime_of_samples(p, params) / sqrt_f1, sqrt_f1
 
 
 def sav_ratio_u(fbar: SpectralField, params: ModelParams, dealias: bool = False) -> SpectralField:

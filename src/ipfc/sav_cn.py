@@ -6,6 +6,12 @@ first step), the diagonal resolvent inverts the stiff part, and the rank-one
 auxiliary coupling is resolved by one scalar equation.  The scheme decays the
 modified energy  1/2 ||G phi||^2 + R^2 - c1  for every positive step size.
 
+The state carries the collocation samples of phi^n and phi^{n-1}.  Sampling
+is linear, so the samples of fbar are the same combination of them, and a
+step costs two transforms: the forward transform of N'(fbar) and the
+inverse transform of phi^{n+1}, whose samples give the bulk mean of the
+energy row and the next extrapolant.
+
 The auxiliary scalar R is stored as its deviation from sqrt(c1): for shifts
 as large as 1e16 the deviation carries the full precision that R^2 - c1
 needs, which a plain float R would lose to cancellation.
@@ -22,14 +28,23 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BulkPositivityError, NumericalError
-from .field import SpectralField, _coeff_inner, enforce_hermitian, hermitian_violation, project_mean
+from .field import (
+    PhysicalField,
+    SpectralField,
+    _coeff_inner,
+    enforce_hermitian,
+    hermitian_violation,
+    project_mean,
+    to_physical,
+)
 from .lattice import OperatorSymbol
-from .model import ModelParams, bulk_mean, sav_ingredients, sqrt_f1_deviation
+from .model import ModelParams, bulk_mean_of_samples, sav_ingredients, sqrt_f1_deviation
 
 __all__ = [
     "StepperState",
     "StepReport",
     "init_state",
+    "initial_report",
     "cn_step",
     "modified_energy",
     "evolve",
@@ -40,13 +55,23 @@ _MEAN_TOL = 1e-13
 
 @dataclass
 class StepperState:
-    """Integrator state: current and previous field, auxiliary scalar, time."""
+    """Integrator state: current and previous field, auxiliary scalar, time.
+
+    `samples` and `prev_samples` are the collocation samples of phi and
+    phi_prev, on the grid the step samples on (refined when dealiasing); a
+    step samples whichever is missing or on the other grid.  `sqrt_f1` is
+    sqrt(F1(fbar)) as frozen by the step that produced the state, None
+    before the first step.
+    """
 
     phi: SpectralField
     phi_prev: Optional[SpectralField]
     r_dev: float
     sqrt_c1: float
     t: float
+    samples: Optional[PhysicalField] = None
+    prev_samples: Optional[PhysicalField] = None
+    sqrt_f1: Optional[float] = None
 
     @property
     def r(self) -> float:
@@ -67,14 +92,18 @@ def init_state(
     params: ModelParams,
     dealias: bool = False,
     t0: float = 0.0,
+    samples: Optional[PhysicalField] = None,
 ) -> StepperState:
-    """Start a trajectory: R0 = sqrt(F1(phi0)), no previous field yet."""
+    """Start a trajectory: R0 = sqrt(F1(phi0)), no previous field yet.
+
+    phi0 is sampled once, unless its samples are passed in."""
     cmax = float(np.abs(phi0.coeffs).max()) if phi0.grid.total else 0.0
     if hermitian_violation(phi0) > 1e-11 * max(1.0, cmax):
         raise ValueError("initial field is not conjugate-symmetric")
     if abs(phi0.coeffs.ravel()[phi0.grid.zero_index]) > _MEAN_TOL:
         raise ValueError("initial field must have zero mean")
-    nu = bulk_mean(phi0, params, dealias=dealias)
+    samples = _samples(phi0, samples, dealias)
+    nu = bulk_mean_of_samples(samples, params)
     if not nu + params.c1 > 0.0:
         raise BulkPositivityError(
             f"shifted bulk energy {nu + params.c1:.6e} is not positive; increase c1"
@@ -85,7 +114,24 @@ def init_state(
         r_dev=float(sqrt_f1_deviation(nu, params.c1)),
         sqrt_c1=float(np.sqrt(params.c1)),
         t=float(t0),
+        samples=samples,
     )
+
+
+def initial_report(
+    state: StepperState, symbol: OperatorSymbol, params: ModelParams, dealias: bool = False
+) -> StepReport:
+    """Energy row of a state's field as an initial node, from its samples."""
+    nu = bulk_mean_of_samples(_samples(state.phi, state.samples, dealias), params)
+    return _node_report(state.phi, None, 0.0, state.r_dev, state.sqrt_c1, nu, symbol)
+
+
+def _samples(f: SpectralField, carried: Optional[PhysicalField], dealias: bool) -> PhysicalField:
+    """The carried samples of f if they are on the grid a step with this
+    `dealias` samples on, else one inverse transform of f."""
+    if carried is not None and (carried.factor > 1) == dealias:
+        return carried
+    return to_physical(f, dealias)
 
 
 @dataclass
@@ -115,6 +161,47 @@ def _node_report(
     )
 
 
+def _frozen_ratio(state: StepperState, params: ModelParams, dealias: bool):
+    """Samples v of the state's field, and the mean-free ratio field u and
+    sqrt(F1) at its extrapolant, whose samples are combined from the carried
+    ones: one forward transform.  Returns (v, u coefficients, sqrt_f1)."""
+    v = _samples(state.phi, state.samples, dealias)
+    if state.phi_prev is None:
+        vbar = v
+    else:
+        vbar = 1.5 * v - 0.5 * _samples(state.phi_prev, state.prev_samples, dealias)
+    u, sqrt_f1 = sav_ingredients(vbar, params)
+    return v, project_mean(u).coeffs, sqrt_f1  # mass constraint: u acts in the mean-zero space
+
+
+def _advance(
+    state: StepperState, v: PhysicalField, u_c: np.ndarray, sqrt_f1: float,
+    phi_new: SpectralField, tau: float, symbol: OperatorSymbol, params: ModelParams,
+    dealias: bool,
+):
+    """The state and energy row at phi_new, reached from `state` (whose field
+    has samples v) over a step tau with the ratio field u frozen.  The
+    increment of R is taken on the stored fields, so an SDC refreeze of the
+    node fields reproduces it exactly; phi_new is sampled once."""
+    r_inc = 0.5 * _coeff_inner(phi_new.coeffs - state.phi.coeffs, u_c)
+    v_new = to_physical(phi_new, dealias)
+    new_state = StepperState(
+        phi=phi_new,
+        phi_prev=state.phi,
+        r_dev=state.r_dev + r_inc,
+        sqrt_c1=state.sqrt_c1,
+        t=state.t + tau,
+        samples=v_new,
+        prev_samples=v,
+        sqrt_f1=sqrt_f1,
+    )
+    report = _node_report(
+        phi_new, state.phi, tau, new_state.r_dev, state.sqrt_c1,
+        bulk_mean_of_samples(v_new, params), symbol,
+    )
+    return new_state, report
+
+
 def _cn_step_full(
     state: StepperState,
     tau: float,
@@ -124,18 +211,10 @@ def _cn_step_full(
 ):
     if tau <= 0:
         raise ValueError("tau must be positive")
-    phi = state.phi
-    grid = phi.grid
+    grid = state.phi.grid
+    v, u_c, sqrt_f1 = _frozen_ratio(state, params, dealias)
 
-    if state.phi_prev is None:
-        fbar = phi
-    else:
-        fbar = 1.5 * phi - 0.5 * state.phi_prev
-
-    u, sqrt_f1 = sav_ingredients(fbar, params, dealias=dealias)
-    u_c = project_mean(u).coeffs  # mass constraint: u acts in the mean-zero space
-
-    phi_c = phi.coeffs
+    phi_c = state.phi.coeffs
     u_phi = _coeff_inner(u_c, phi_c)
 
     g2 = symbol.g2
@@ -147,21 +226,8 @@ def _cn_step_full(
     phi_new = enforce_hermitian(SpectralField(grid, (c - 0.25 * tau * s * u_c) / denom))
     phi_new.coeffs.ravel()[grid.zero_index] = 0.0
 
-    # The increment is taken on the stored field, so an SDC refreeze of the
-    # node fields reproduces it exactly.
-    r_inc = 0.5 * _coeff_inner(phi_new.coeffs - phi_c, u_c)
-    new_state = StepperState(
-        phi=phi_new,
-        phi_prev=phi,
-        r_dev=state.r_dev + r_inc,
-        sqrt_c1=state.sqrt_c1,
-        t=state.t + tau,
-    )
-    report = _node_report(
-        phi_new, phi, tau, new_state.r_dev, state.sqrt_c1,
-        bulk_mean(phi_new, params, dealias=dealias), symbol,
-    )
-    checks = (sqrt_f1, gamma, s, r_inc, report.original_energy, report.w_norm_sq)
+    new_state, report = _advance(state, v, u_c, sqrt_f1, phi_new, tau, symbol, params, dealias)
+    checks = (sqrt_f1, gamma, s, new_state.r_dev, report.original_energy, report.w_norm_sq)
     if not np.all(np.isfinite(checks)):
         raise NumericalError(
             "non-finite values in the step (check the step size and c1): "

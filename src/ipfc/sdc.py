@@ -6,17 +6,24 @@ right-hand sides then feeds a linear correction sweep that solves an error
 equation interval by interval.  One sweep lifts the global order from two
 to four.
 
-`_refreeze` is the one place node fields become an `SdcTrajectory`: in one
-pass it stores each node's right-hand side (a row of one nodes x modes
+`_refreeze` is the one place node fields become an `SdcTrajectory`: it
+stores each node's samples, its right-hand side (a row of one nodes x modes
 array), its auxiliary-scalar deviation and its energy row, and each
-interval's frozen ratio coefficient.  It runs after the predictor and after
-every sweep, and the energy rows of the final pass are the run's records.
+interval's frozen ratio coefficient.  After the predictor it takes all but
+the right-hand sides from the stepper's states, so a predicted node costs
+the stepper's two transforms plus one.  After a sweep it re-runs the
+stepper's update on the corrected fields, at three transforms per node.
+The sweep itself forms the extrapolants' samples by linearity and costs two
+transforms per interval past the first, so a one-sweep node costs at most
+eight.  The energy rows of the final pass are the run's records.
 
 Large node counts are handled by partitioning [0, T] into blocks of at most
 `block` intervals (4096 by default, at least two per block), applying
-predictor + sweeps per block and chaining the endpoint states.  The
-closed-form quadrature needs no node-count guard: it matches exact interval
-integrals to round-off at thousands of nodes.
+predictor + sweeps per block and chaining the endpoint states.  A block
+holds, per node, its field and right-hand side (16 bytes per mode each) and
+its samples (8 bytes per mode, more when dealiasing).  The closed-form
+quadrature needs no node-count guard: it matches exact interval integrals
+to round-off at thousands of nodes.
 """
 
 from __future__ import annotations
@@ -27,10 +34,19 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import NumericalError
-from .field import SpectralField, _coeff_inner, enforce_hermitian, project_mean
+from .field import PhysicalField, SpectralField, enforce_hermitian, project_mean, to_physical
 from .lattice import OperatorSymbol
-from .model import ModelParams, _nprime_and_bulk_mean, nprime, sav_ingredients, sqrt_f1_deviation
-from .sav_cn import StepReport, _node_report, evolve, init_state
+from .model import ModelParams, nprime_increment, nprime_of_samples
+from .sav_cn import (
+    StepperState,
+    StepReport,
+    _advance,
+    _frozen_ratio,
+    _samples,
+    evolve,
+    init_state,
+    initial_report,
+)
 
 __all__ = [
     "ChebGrid",
@@ -121,33 +137,37 @@ class SdcTrajectory:
 
     grid: ChebGrid
     phis: List[SpectralField]
+    samples: List[PhysicalField]  # collocation samples per node
     r_devs: np.ndarray           # R - sqrt(c1) per node
     ws: np.ndarray               # (nodes, modes): mean-free G^2 phi + N'(phi) per node
     kappas: np.ndarray           # frozen R^{n+1/2} / sqrt(F1(fbar)) per interval
     reports: List[StepReport]    # energy row per node
 
 
+def _start_state(start, symbol: OperatorSymbol, params: ModelParams, dealias: bool) -> StepperState:
+    if isinstance(start, StepperState):
+        return start
+    return init_state(start, symbol, params, dealias=dealias)
+
+
 def predict(
-    phi0: SpectralField,
+    start,
     grid: ChebGrid,
     symbol: OperatorSymbol,
     params: ModelParams,
     dealias: bool = False,
 ) -> SdcTrajectory:
     """Run the Crank-Nicolson stepper over the node set and build the
-    trajectory along its fields."""
-    phis = [phi0]
-    evolve(
-        init_state(phi0, symbol, params, dealias=dealias), grid.nodes, symbol, params,
-        dealias=dealias, on_step=lambda i, state, report: phis.append(state.phi),
+    trajectory from its states.  `start` is the initial field, or the state
+    `init_state` built from it."""
+    state = _start_state(start, symbol, params, dealias)
+    states: List[StepperState] = []
+    _, reports = evolve(
+        state, grid.nodes, symbol, params, dealias=dealias,
+        on_step=lambda i, st, report: states.append(st),
     )
-    return _refreeze(phis, grid, symbol, params, dealias)
-
-
-def _fbar(phis: List[SpectralField], n: int) -> SpectralField:
-    if n == 0:
-        return phis[0]
-    return 1.5 * phis[n] - 0.5 * phis[n - 1]
+    phis = [state.phi] + [st.phi for st in states]
+    return _refreeze(state, phis, grid, symbol, params, dealias, stepped=(states, reports))
 
 
 def correct(
@@ -168,8 +188,11 @@ def correct(
 
     with Q^n the quadrature of the captured right-hand sides over the
     interval and ebar the same two-point extrapolant the predictor uses
-    (ebar = eps^0 on the first interval).  The ratio coefficient kappa is
-    frozen from the predictor; only the argument of N' sees the error.
+    (ebar = eps^0 = 0 on the first interval, where the bracket vanishes).
+    The ratio coefficient kappa is frozen from the predictor; only the
+    argument of N' sees the error.  The bracket is formed pointwise from
+    samples: those of fbar combine the stored node samples, those of ebar
+    the samples of eps^n and eps^{n-1}.
     """
     n_t = grid.taus.size
     if len(traj.phis) != n_t + 1:
@@ -177,30 +200,24 @@ def correct(
     g2 = symbol.g2
     grid0 = traj.phis[0].grid
     zero = grid0.zero_index
-    # All interval quadratures at once: rows of S against the node
-    # right-hand sides.
-    q_all = S.S @ traj.ws
+    s = traj.samples
 
-    eps_prev: Optional[SpectralField] = None
     eps = SpectralField(grid0, np.zeros_like(traj.phis[0].coeffs))
+    e_prev = None  # samples of eps^{n-1}; eps^0 = 0 is never sampled
     out = [traj.phis[0]]
     for n in range(n_t):
         tau = float(grid.taus[n])
-        q_n = q_all[n].reshape(grid0.sizes)
-
-        if n == 0 or eps_prev is None:
-            ebar = eps
-        else:
-            ebar = 1.5 * eps - 0.5 * eps_prev
-        fb = _fbar(traj.phis, n)
-        bracket = nprime(fb + ebar, params, dealias=dealias) - nprime(fb, params, dealias=dealias)
-
         rhs = (
             eps.coeffs * (1.0 - 0.5 * tau * g2)
-            - q_n
+            - (S.S[n] @ traj.ws).reshape(grid0.sizes)
             - (traj.phis[n + 1].coeffs - traj.phis[n].coeffs)
-            - tau * traj.kappas[n] * project_mean(bracket).coeffs
         )
+        if n:
+            e = to_physical(eps, dealias)
+            ebar = 1.5 * e if e_prev is None else 1.5 * e - 0.5 * e_prev
+            bracket = nprime_increment(1.5 * s[n] - 0.5 * s[n - 1], ebar, params)
+            rhs -= tau * traj.kappas[n] * project_mean(bracket).coeffs
+            e_prev = e
         eps_new = enforce_hermitian(SpectralField(grid0, rhs / (1.0 + 0.5 * tau * g2)))
         zc = eps_new.coeffs.ravel()[zero]
         if not abs(zc) <= 1e-13:  # also trips on a non-finite correction
@@ -208,47 +225,69 @@ def correct(
         eps_new.coeffs.ravel()[zero] = 0.0
 
         out.append(traj.phis[n + 1] + eps_new)
-        eps_prev, eps = eps, eps_new
+        eps = eps_new
     return out
 
 
+def _restep(
+    start: StepperState,
+    phis: List[SpectralField],
+    grid: ChebGrid,
+    symbol: OperatorSymbol,
+    params: ModelParams,
+    dealias: bool,
+):
+    """The states and energy rows past `start` that the stepper passes
+    through when its solves land on the given node fields: each interval
+    freezes u at the extrapolant and takes the increment of R on the stored
+    fields, with the stepper's own code, so along the predictor's fields
+    this reproduces the stepper bit for bit.  Two transforms per interval."""
+    states, reports = [], []
+    state = start
+    for n in range(1, len(phis)):
+        v, u_c, sqrt_f1 = _frozen_ratio(state, params, dealias)
+        state, report = _advance(
+            state, v, u_c, sqrt_f1, phis[n], float(grid.taus[n - 1]), symbol, params, dealias
+        )
+        states.append(state)
+        reports.append(report)
+    return states, reports
+
+
 def _refreeze(
+    start: StepperState,
     phis: List[SpectralField],
     grid: ChebGrid,
     symbol: OperatorSymbol,
     params: ModelParams,
     dealias: bool = False,
+    stepped=None,
 ) -> SdcTrajectory:
-    """Build the trajectory along given node fields in one pass.
+    """Build the trajectory along node fields phis from the block's initial
+    state `start`, whose field is phis[0].
 
-    Each node field is sampled once for its right-hand side and its bulk
-    mean.  Each interval re-runs the stepper's auxiliary-scalar update on the
-    same operands (u frozen at the extrapolant, the increment taken on the
-    stored fields) and freezes its ratio coefficient, so along the
-    predictor's own fields this reproduces the stepper bit for bit."""
+    `stepped` is (states, reports) as the stepper produced them past the
+    initial node, when phis are its fields; otherwise `_restep` rebuilds
+    them.  Each node's right-hand side then takes one forward transform of
+    N' of its samples."""
+    states, reports = stepped or _restep(start, phis, grid, symbol, params, dealias)
+    states = [start] + states
+    reports = [initial_report(start, symbol, params, dealias)] + reports
+    samples = [_samples(st.phi, st.samples, dealias) for st in states]
     grid0 = phis[0].grid
-    sqrt_c1 = float(np.sqrt(params.c1))
     ws = np.empty((len(phis), grid0.total), dtype=complex)
-    r_devs = np.empty(len(phis))
-    kappas = np.empty(len(phis) - 1)
-    reports = []
-    for n, phi in enumerate(phis):
-        npf, nu = _nprime_and_bulk_mean(phi, params, dealias)
+    for n, (phi, p) in enumerate(zip(phis, samples)):
         # The stepped flow is the mean-constrained one, so its right-hand
         # side carries no zero mode.
-        ws[n] = (phi.coeffs * symbol.g2 + npf.coeffs).ravel()
+        ws[n] = (phi.coeffs * symbol.g2 + nprime_of_samples(p, params).coeffs).ravel()
         ws[n, grid0.zero_index] = 0.0
-        if n == 0:
-            prev, tau = None, 0.0
-            r_devs[0] = sqrt_f1_deviation(nu, params.c1)
-        else:
-            prev, tau = phis[n - 1], float(grid.taus[n - 1])
-            u, sqrt_f1 = sav_ingredients(_fbar(phis, n - 1), params, dealias=dealias)
-            u_c = project_mean(u).coeffs
-            r_devs[n] = r_devs[n - 1] + 0.5 * _coeff_inner(phi.coeffs - prev.coeffs, u_c)
-            kappas[n - 1] = (sqrt_c1 + 0.5 * (r_devs[n - 1] + r_devs[n])) / sqrt_f1
-        reports.append(_node_report(phi, prev, tau, float(r_devs[n]), sqrt_c1, nu, symbol))
-    return SdcTrajectory(grid=grid, phis=phis, r_devs=r_devs, ws=ws, kappas=kappas, reports=reports)
+    r_devs = np.array([st.r_dev for st in states])
+    sqrt_f1s = np.array([st.sqrt_f1 for st in states[1:]])
+    kappas = (start.sqrt_c1 + 0.5 * (r_devs[:-1] + r_devs[1:])) / sqrt_f1s
+    return SdcTrajectory(
+        grid=grid, phis=phis, samples=samples, r_devs=r_devs, ws=ws, kappas=kappas,
+        reports=reports,
+    )
 
 
 def _sdc_blocks(n_t: int, sweeps: int, block: int) -> List[int]:
@@ -269,7 +308,7 @@ def _sdc_blocks(n_t: int, sweeps: int, block: int) -> List[int]:
 
 
 def sdc_solve(
-    phi0: SpectralField,
+    start,
     T: float,
     n_t: int,
     symbol: OperatorSymbol,
@@ -281,6 +320,7 @@ def sdc_solve(
 ):
     """Predictor plus `sweeps` correction sweeps over [0, T] with n_t intervals.
 
+    `start` is the initial field, or the state `init_state` built from it.
     Returns (final_field, records) where records is a list of
     (t, tau, StepReport) tuples along the corrected trajectory, including the
     initial node.  With sweeps=0 this reduces to plain predictor stepping on
@@ -298,9 +338,14 @@ def sdc_solve(
     records: List[tuple] = []
     matrices: dict = {}
 
-    phi = phi0
+    state = _start_state(start, symbol, params, dealias)
+    traj = None
     t_offset = 0.0
     for count in counts:
+        if traj is not None:  # a later block starts at the previous block's last node
+            state = init_state(
+                traj.phis[-1], symbol, params, dealias=dealias, samples=traj.samples[-1]
+            )
         t_b = T * count / float(n_t)
         grid_b = cheb_nodes(t_b, count)
         key = (count, t_b)
@@ -308,10 +353,11 @@ def sdc_solve(
             matrices[key] = integration_matrix(grid_b)
         S = matrices[key]
 
-        traj = predict(phi, grid_b, symbol, params, dealias=dealias)
+        traj = predict(state, grid_b, symbol, params, dealias=dealias)
         for _ in range(sweeps):
             phis = correct(traj, grid_b, S, symbol, params, dealias=dealias)
-            traj = _refreeze(phis, grid_b, symbol, params, dealias=dealias)
+            del traj  # free the old block storage before the new one is built
+            traj = _refreeze(state, phis, grid_b, symbol, params, dealias)
 
         # A later block's first node is the previous block's last one.
         for n in range(1 if records else 0, count + 1):
@@ -320,7 +366,5 @@ def sdc_solve(
             records.append((t_node, tau, traj.reports[n]))
             if node_hook is not None and n:
                 node_hook(len(records) - 1, t_node, tau, traj.reports[n], traj.phis[n])
-
-        phi = traj.phis[-1]
         t_offset += t_b
-    return phi, records
+    return traj.phis[-1], records

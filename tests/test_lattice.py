@@ -57,6 +57,56 @@ def test_rejects_noninjective_projection():
         build_grid(spec, (4, 4))
 
 
+def _brute_min_distance(spec, sizes):
+    """Smallest |P B (h1 - h2)| over every pair of distinct modes of the grid."""
+    axes = [np.arange(-(nj // 2), nj // 2) for nj in sizes]
+    modes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    k = modes @ spec.projected_basis.T
+    dist = np.sqrt(((k[:, None, :] - k[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min())
+
+
+_SQRT2 = float(np.sqrt(2.0))
+
+
+@pytest.mark.parametrize(
+    "P, sizes",
+    [
+        ([[1.0, _SQRT2]], (6, 4)),                     # injective
+        ([[1.0, 1.0]], (4, 4)),                        # exact collision
+        ([[1.0, 0.5]], (4, 6)),                        # collision at delta = (1, -2)
+        ([[1.0, 0.5 + 1e-12]], (4, 6)),                # near collision, inside the tolerance
+        ([[1.0, 0.5 + 1e-9]], (4, 6)),                 # near collision, outside it
+        ([[1.0, 0.0, _SQRT2], [0.0, 1.0, np.pi]], (4, 4, 6)),
+        ([[1.0, 0.0, 0.5], [0.0, 1.0, 0.25]], (4, 6, 4)),  # a collision needs delta_2 = 4
+        ([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]], (4, 4, 4)),   # collision at delta = (1, 1, -2)
+        (dodecagonal_projection(), (4, 4, 4, 4)),
+    ],
+)
+def test_injectivity_scan_matches_brute_force(P, sizes):
+    # the half-lattice slab scan finds a violation exactly when the pairwise
+    # scan does, and reports an in-range pair that far apart
+    P = np.array(P, dtype=float)
+    spec = ProjectionSpec(d=P.shape[0], n=P.shape[1], P=P, B=np.eye(P.shape[1]))
+    tol = lattice.INJECTIVITY_TOL
+    brute = _brute_min_distance(spec, sizes)
+    hit = lattice._injectivity_violation(spec, sizes, tol)
+    assert (hit is not None) == (brute < tol)
+    if hit is None:
+        build_grid(spec, sizes)
+        return
+    h1, h2, dist = hit
+    half = np.array(sizes) // 2
+    for h in (h1, h2):
+        assert np.all(-half <= h) and np.all(h <= half - 1)
+    assert np.any(h1 != h2)
+    assert dist == pytest.approx(np.linalg.norm(spec.projected_basis @ (h1 - h2)), abs=1e-15)
+    assert dist == pytest.approx(brute, abs=1e-15)
+    with pytest.raises(ValueError, match="not injective"):
+        build_grid(spec, sizes)
+
+
 def test_dodecagonal_grid_mode_count():
     spec = ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4))
     grid = build_grid(spec, (24, 24, 24, 24))

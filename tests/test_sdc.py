@@ -103,6 +103,24 @@ def test_predict_matches_evolve_bitwise(bench_1d, rng):
     assert traj.reports[1:] == reports
 
 
+def test_restep_reproduces_predictor_bitwise(bench_1d, rng):
+    # re-running the stepper's update on the predictor's own fields rebuilds
+    # the trajectory the predictor took from the stepper, bit for bit
+    from ipfc.sdc import _refreeze
+
+    spec, grid, symbol, params = bench_1d
+    phi0 = random_field(grid, rng, scale=0.2)
+    g = cheb_nodes(0.05, 8)
+    traj = predict(phi0, g, symbol, params)
+    rebuilt = _refreeze(init_state(phi0, symbol, params), traj.phis, g, symbol, params)
+    np.testing.assert_array_equal(rebuilt.ws, traj.ws)
+    np.testing.assert_array_equal(rebuilt.r_devs, traj.r_devs)
+    np.testing.assert_array_equal(rebuilt.kappas, traj.kappas)
+    for a, b in zip(rebuilt.samples, traj.samples):
+        np.testing.assert_array_equal(a.values, b.values)
+    assert rebuilt.reports == traj.reports
+
+
 def test_correct_zero_predictor_stays_zero(bench_1d):
     spec, grid, symbol, params = bench_1d
     g = cheb_nodes(0.1, 6)
