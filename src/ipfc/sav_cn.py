@@ -92,17 +92,16 @@ def init_state(
     params: ModelParams,
     dealias: bool = False,
     t0: float = 0.0,
-    samples: Optional[PhysicalField] = None,
 ) -> StepperState:
     """Start a trajectory: R0 = sqrt(F1(phi0)), no previous field yet.
 
-    phi0 is sampled once, unless its samples are passed in."""
+    phi0 is sampled once; its samples feed the first step."""
     cmax = float(np.abs(phi0.coeffs).max()) if phi0.grid.total else 0.0
     if hermitian_violation(phi0) > 1e-11 * max(1.0, cmax):
         raise ValueError("initial field is not conjugate-symmetric")
     if abs(phi0.coeffs.ravel()[phi0.grid.zero_index]) > _MEAN_TOL:
         raise ValueError("initial field must have zero mean")
-    samples = _samples(phi0, samples, dealias)
+    samples = to_physical(phi0, dealias)
     nu = bulk_mean_of_samples(samples, params)
     if not nu + params.c1 > 0.0:
         raise BulkPositivityError(

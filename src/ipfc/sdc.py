@@ -343,9 +343,7 @@ def sdc_solve(
     t_offset = 0.0
     for count in counts:
         if traj is not None:  # a later block starts at the previous block's last node
-            state = init_state(
-                traj.phis[-1], symbol, params, dealias=dealias, samples=traj.samples[-1]
-            )
+            state = init_state(traj.phis[-1], symbol, params, dealias=dealias)
         t_b = T * count / float(n_t)
         grid_b = cheb_nodes(t_b, count)
         key = (count, t_b)
