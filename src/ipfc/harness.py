@@ -25,11 +25,10 @@ from .errors import ConfigError
 from .field import (
     SpectralField,
     dump_field,
-    enforce_hermitian,
+    field_from_coeffs,
     load_field,
     norm_ap,
     project_mean,
-    zeros_field,
 )
 from .lattice import IndexGrid, OperatorSymbol, ProjectionSpec, build_grid, build_symbol, sample_real_space
 from .model import ModelParams
@@ -470,7 +469,7 @@ def ring_star_modes(
     for r in radii:
         sel |= np.abs(kabs - float(r)) <= tol
     sel[grid.zero_index] = False
-    sel &= grid.live_mask.ravel()
+    sel &= grid.unfold(grid.live_mask, conjugate=False).ravel()
     flats = np.flatnonzero(sel)
     pair_keys = sorted({int(min(i, grid.neg_flat[i])) for i in flats})
     rng = np.random.default_rng(seed)
@@ -487,11 +486,11 @@ def ring_star_modes(
 def field_from_modes(grid: IndexGrid, modes) -> SpectralField:
     """Accumulate amplitude * exp(i phase) at each listed mode, then
     symmetrize and project out the mean."""
-    f = zeros_field(grid)
-    flat = f.coeffs.ravel()
+    c = np.zeros(grid.sizes, dtype=complex)
+    flat = c.ravel()
     for h, amp, phase in modes:
         flat[grid.flat_index(h)] += amp * np.exp(1j * phase)
-    return project_mean(enforce_hermitian(f))
+    return project_mean(field_from_coeffs(grid, c))
 
 
 def banded_noise_field(
@@ -505,8 +504,7 @@ def banded_noise_field(
     """
     rng = np.random.default_rng(seed)
     c = scale * (rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes))
-    f = SpectralField(grid, c * (symbol.g2 <= g2_max))
-    return project_mean(enforce_hermitian(f))
+    return project_mean(field_from_coeffs(grid, c * (symbol.g2 <= g2_max)))
 
 
 def build_initial(cfg: ExperimentConfig, grid: IndexGrid, base_dir: str = ".") -> SpectralField:
@@ -515,14 +513,13 @@ def build_initial(cfg: ExperimentConfig, grid: IndexGrid, base_dir: str = ".") -
     icfg = cfg.initial
     if icfg.kind == "sine":
         e1 = tuple([1] + [0] * (len(grid.sizes) - 1))
-        f = zeros_field(grid)
-        flat = f.coeffs.ravel()
+        c = np.zeros(grid.sizes, dtype=complex)
         try:
-            flat[grid.flat_index(e1)] = -0.5j * icfg.amplitude
-            flat[grid.flat_index(tuple(-v for v in e1))] = 0.5j * icfg.amplitude
+            c.ravel()[grid.flat_index(e1)] = -0.5j * icfg.amplitude
+            c.ravel()[grid.flat_index(tuple(-v for v in e1))] = 0.5j * icfg.amplitude
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return f
+        return field_from_coeffs(grid, c)
     if icfg.kind == "mode_list":
         try:
             return field_from_modes(grid, icfg.modes)
@@ -536,7 +533,7 @@ def build_initial(cfg: ExperimentConfig, grid: IndexGrid, base_dir: str = ".") -
         raise ConfigError(f"cannot read initial field file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return project_mean(enforce_hermitian(f))
+    return project_mean(f)
 
 
 # -- spectra and rasters ---------------------------------------------------------
@@ -616,7 +613,7 @@ def render_field(
 ) -> np.ndarray:
     """Grayscale raster of the field over the window: linear map of the
     sampled range onto 0..255, a degenerate range maps to uniform 128."""
-    cmax = float(np.abs(fld.coeffs).max()) if fld.grid.total else 0.0
+    cmax = float(np.abs(fld.half).max())
     floor = floor_rel * cmax
     raster = sample_real_space(spec, grid, fld, window, resolution, amplitude_floor=floor)
     lo = float(raster.min())

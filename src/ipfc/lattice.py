@@ -88,20 +88,29 @@ class IndexGrid:
     axes, so the zero mode h = 0 sits at flat index 0.  The extreme mode
     -N_j/2 has no positive partner and pairs with itself under negation
     mod N_j.
+
+    Real fields are stored in the half layout of `numpy.fft.rfftn`: the last
+    axis keeps its first N/2 + 1 positions, whose last one holds the mode
+    -N/2.  Every other mode is the conjugate of its mirror -h (mod N), which
+    the half holds.  The last-axis planes 0 and -N/2 pair with themselves.
+    `h_matrix`, `kvec` and `neg_flat` describe the full layout, `ksq` and
+    `live_mask` the half one.
     """
 
     spec: ProjectionSpec
     sizes: tuple
+    half_sizes: tuple
     total: int
     axis_indices: tuple
     h_matrix: np.ndarray  # (total, n) integer modes, flat order
     kvec: np.ndarray      # (total, d) projected wavevectors
-    ksq: np.ndarray       # |k_h|^2, shaped like the coefficient array
+    ksq: np.ndarray       # |k_h|^2 in the half layout
     neg_flat: np.ndarray  # flat position of -h (mod N), an involution
+    plane_neg: np.ndarray  # the same on the leading axes of a self-paired plane
     live_mask: np.ndarray  # modes whose mod-N mirror carries the same |k|^2
     all_live: bool
 
-    #: flat index of the zero mode
+    #: flat index of the zero mode, in either layout
     zero_index: int = field(default=0)
 
     def flat_index(self, h) -> int:
@@ -118,18 +127,40 @@ class IndexGrid:
     def multi_index(self, flat: int) -> np.ndarray:
         return self.h_matrix[flat].copy()
 
+    def unfold(self, half: np.ndarray, conjugate: bool = True) -> np.ndarray:
+        """Read-only full-layout copy of half-layout values: each mode past
+        the half takes its mirror's value, conjugated for coefficients."""
+        full = np.empty(self.sizes, dtype=half.dtype)
+        h = self.half_sizes[-1]
+        full[..., :h] = half
+        mirror = full.ravel()[self.neg_flat.reshape(self.sizes)[..., h:]]
+        full[..., h:] = np.conj(mirror) if conjugate else mirror
+        full.setflags(write=False)
+        return full
+
 
 @dataclass(eq=False)
 class OperatorSymbol:
-    """Diagonal symbol of the multi-length-scale operator and of its square.
+    """Diagonal symbol of the multi-length-scale operator and of its square,
+    stored in the half layout.
 
     g[h] = prod_j (q_j^2 - |k_h|^2) is real by construction; g2 = g**2.
     """
 
     grid: IndexGrid
     q: tuple
-    g: np.ndarray
-    g2: np.ndarray
+    g_half: np.ndarray
+    g2_half: np.ndarray
+
+    @property
+    def g(self) -> np.ndarray:
+        """Full-layout view of the symbol."""
+        return self.grid.unfold(self.g_half, conjugate=False)
+
+    @property
+    def g2(self) -> np.ndarray:
+        """Full-layout view of the squared symbol."""
+        return self.grid.unfold(self.g2_half, conjugate=False)
 
 
 def _injectivity_violation(spec: ProjectionSpec, sizes, tol: float):
@@ -209,6 +240,9 @@ def build_grid(spec: ProjectionSpec, sizes, injectivity_tol: float = INJECTIVITY
     neg_pos = [(-np.arange(nj)) % nj for nj in sizes]
     neg_mesh = np.meshgrid(*neg_pos, indexing="ij")
     neg_flat = np.ravel_multi_index(tuple(neg_mesh), sizes).ravel().astype(np.int64)
+    # On the plane of last-axis position 0, the mirror of flat position
+    # p * N is (neg p) * N.
+    plane_neg = np.ravel(neg_flat.reshape(sizes)[..., 0] // sizes[-1])
 
     # Realness pairs mode h with -h mod N.  On the unmatched -N_j/2 planes
     # the mod-N mirror is not the true mirror; when the projection makes
@@ -218,23 +252,26 @@ def build_grid(spec: ProjectionSpec, sizes, injectivity_tol: float = INJECTIVITY
     ksq_flat = ksq.ravel()
     live_mask = (ksq_flat == ksq_flat[neg_flat]).reshape(sizes)
 
-    total = int(np.prod(sizes))
+    h = sizes[-1] // 2 + 1
     return IndexGrid(
         spec=spec,
         sizes=sizes,
-        total=total,
+        half_sizes=sizes[:-1] + (h,),
+        total=int(np.prod(sizes)),
         axis_indices=axis_indices,
         h_matrix=h_matrix,
         kvec=kvec,
-        ksq=ksq,
+        ksq=np.ascontiguousarray(ksq[..., :h]),
         neg_flat=neg_flat,
-        live_mask=live_mask,
+        plane_neg=plane_neg,
+        live_mask=np.ascontiguousarray(live_mask[..., :h]),
         all_live=bool(live_mask.all()),
     )
 
 
 def build_symbol(spec: ProjectionSpec, grid: IndexGrid, q) -> OperatorSymbol:
-    """Per-mode values of prod_j (q_j^2 - |k_h|^2) and its square."""
+    """Per-mode values of prod_j (q_j^2 - |k_h|^2) and its square, in the
+    half layout."""
     q = tuple(float(v) for v in np.atleast_1d(q))
     if len(q) == 0:
         raise ValueError("need at least one length scale")
@@ -243,7 +280,7 @@ def build_symbol(spec: ProjectionSpec, grid: IndexGrid, q) -> OperatorSymbol:
     g = np.ones_like(grid.ksq)
     for qj in q:
         g = g * (qj * qj - grid.ksq)
-    return OperatorSymbol(grid=grid, q=q, g=g, g2=g * g)
+    return OperatorSymbol(grid=grid, q=q, g_half=g, g2_half=g * g)
 
 
 def sample_real_space(
@@ -285,6 +322,7 @@ def sample_real_space(
         return np.zeros(resolution)
     kv = grid.kvec[mask]
     coeffs = flat[mask]
+    del flat, mask  # a full-layout copy, not needed while the chunks run
 
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(window, resolution)]
     lead = int(np.prod(resolution[:-1]))

@@ -32,7 +32,6 @@ from .field import (
     PhysicalField,
     SpectralField,
     _coeff_inner,
-    enforce_hermitian,
     hermitian_violation,
     project_mean,
     to_physical,
@@ -96,10 +95,10 @@ def init_state(
     """Start a trajectory: R0 = sqrt(F1(phi0)), no previous field yet.
 
     phi0 is sampled once; its samples feed the first step."""
-    cmax = float(np.abs(phi0.coeffs).max()) if phi0.grid.total else 0.0
+    cmax = float(np.abs(phi0.half).max())
     if hermitian_violation(phi0) > 1e-11 * max(1.0, cmax):
         raise ValueError("initial field is not conjugate-symmetric")
-    if abs(phi0.coeffs.ravel()[phi0.grid.zero_index]) > _MEAN_TOL:
+    if abs(phi0.half.ravel()[phi0.grid.zero_index]) > _MEAN_TOL:
         raise ValueError("initial field must have zero mean")
     samples = to_physical(phi0, dealias)
     nu = bulk_mean_of_samples(samples, params)
@@ -145,13 +144,13 @@ def _node_report(
 ) -> StepReport:
     """Energy row of node field phi, reached from prev (None at the initial
     node) over a step tau, with auxiliary deviation r_dev and bulk mean nu."""
-    gc = symbol.g * phi.coeffs
-    grad = 0.5 * float(np.vdot(gc, gc).real)
+    gc = symbol.g_half * phi.half
+    grad = 0.5 * _coeff_inner(gc, gc)
     if prev is None:
         w_norm_sq = 0.0
     else:
-        diff = phi.coeffs - prev.coeffs
-        w_norm_sq = float(np.vdot(diff, diff).real) / (tau * tau)
+        diff = phi.half - prev.half
+        w_norm_sq = _coeff_inner(diff, diff) / (tau * tau)
     return StepReport(
         modified_energy=grad + r_dev * (2.0 * sqrt_c1 + r_dev),
         original_energy=grad + nu,
@@ -170,7 +169,7 @@ def _frozen_ratio(state: StepperState, params: ModelParams, dealias: bool):
     else:
         vbar = 1.5 * v - 0.5 * _samples(state.phi_prev, state.prev_samples, dealias)
     u, sqrt_f1 = sav_ingredients(vbar, params)
-    return v, project_mean(u).coeffs, sqrt_f1  # mass constraint: u acts in the mean-zero space
+    return v, project_mean(u).half, sqrt_f1  # mass constraint: u acts in the mean-zero space
 
 
 def _advance(
@@ -182,7 +181,7 @@ def _advance(
     has samples v) over a step tau with the ratio field u frozen.  The
     increment of R is taken on the stored fields, so an SDC refreeze of the
     node fields reproduces it exactly; phi_new is sampled once."""
-    r_inc = 0.5 * _coeff_inner(phi_new.coeffs - state.phi.coeffs, u_c)
+    r_inc = 0.5 * _coeff_inner(phi_new.half - state.phi.half, u_c)
     v_new = to_physical(phi_new, dealias)
     new_state = StepperState(
         phi=phi_new,
@@ -213,17 +212,19 @@ def _cn_step_full(
     grid = state.phi.grid
     v, u_c, sqrt_f1 = _frozen_ratio(state, params, dealias)
 
-    phi_c = state.phi.coeffs
+    phi_c = state.phi.half
     u_phi = _coeff_inner(u_c, phi_c)
 
-    g2 = symbol.g2
+    g2 = symbol.g2_half
     denom = 1.0 + (0.5 * tau) * g2
     c = phi_c * (1.0 - 0.5 * tau * g2) + (0.25 * tau * u_phi - tau * state.r) * u_c
 
     gamma = _coeff_inner(u_c / denom, u_c)
     s = _coeff_inner(c / denom, u_c) / (1.0 + 0.25 * tau * gamma)
-    phi_new = enforce_hermitian(SpectralField(grid, (c - 0.25 * tau * s * u_c) / denom))
-    phi_new.coeffs.ravel()[grid.zero_index] = 0.0
+    # Real diagonal maps of conjugate-symmetric data stay symmetric, so the
+    # new field needs no symmetrization.
+    phi_new = SpectralField(grid, (c - 0.25 * tau * s * u_c) / denom)
+    phi_new.half.ravel()[grid.zero_index] = 0.0
 
     new_state, report = _advance(state, v, u_c, sqrt_f1, phi_new, tau, symbol, params, dealias)
     checks = (sqrt_f1, gamma, s, new_state.r_dev, report.original_energy, report.w_norm_sq)

@@ -8,22 +8,24 @@ to four.
 
 `_refreeze` is the one place node fields become an `SdcTrajectory`: it
 stores each node's samples, its right-hand side (a row of one nodes x modes
-array), its auxiliary-scalar deviation and its energy row, and each
-interval's frozen ratio coefficient.  After the predictor it takes all but
-the right-hand sides from the stepper's states, so a predicted node costs
-the stepper's two transforms plus one.  After a sweep it re-runs the
-stepper's update on the corrected fields, at three transforms per node.
+array) when a sweep follows, its auxiliary-scalar deviation and its energy
+row, and each interval's frozen ratio coefficient.  After the predictor it
+takes all but the right-hand sides from the stepper's states, so a
+predicted node costs the stepper's two transforms plus one.  After a sweep
+it re-runs the stepper's update on the corrected fields, at two transforms
+per node, plus one for the right-hand side unless the sweep was the last.
 The sweep itself forms the extrapolants' samples by linearity and costs two
-transforms per interval past the first, so a one-sweep node costs at most
-eight.  The energy rows of the final pass are the run's records.
+transforms per interval past the first, so a one-sweep node costs fewer
+than seven.  The energy rows of the final pass are the run's records.
 
 Large node counts are handled by partitioning [0, T] into blocks of at most
 `block` intervals (4096 by default, at least two per block), applying
 predictor + sweeps per block and chaining the endpoint states.  A block
-holds, per node, its field and right-hand side (16 bytes per mode each) and
-its samples (8 bytes per mode, more when dealiasing).  The closed-form
-quadrature needs no node-count guard: it matches exact interval integrals
-to round-off at thousands of nodes.
+holds, per node, its field and right-hand side in the half layout
+(16 (N/2 + 1) / N bytes per mode each, N the last axis size: 8.7 at
+N = 24) and its samples (8 bytes per mode, more when dealiasing).  The
+closed-form quadrature needs no node-count guard: it matches exact
+interval integrals to round-off at thousands of nodes.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class SdcTrajectory:
     phis: List[SpectralField]
     samples: List[PhysicalField]  # collocation samples per node
     r_devs: np.ndarray           # R - sqrt(c1) per node
-    ws: np.ndarray               # (nodes, modes): mean-free G^2 phi + N'(phi) per node
+    ws: Optional[np.ndarray]     # (nodes, modes): mean-free G^2 phi + N'(phi) per node, if built
     kappas: np.ndarray           # frozen R^{n+1/2} / sqrt(F1(fbar)) per interval
     reports: List[StepReport]    # energy row per node
 
@@ -197,32 +199,34 @@ def correct(
     n_t = grid.taus.size
     if len(traj.phis) != n_t + 1:
         raise ValueError("trajectory does not match the node grid")
-    g2 = symbol.g2
+    g2 = symbol.g2_half
     grid0 = traj.phis[0].grid
     zero = grid0.zero_index
     s = traj.samples
 
-    eps = SpectralField(grid0, np.zeros_like(traj.phis[0].coeffs))
+    eps = SpectralField(grid0, np.zeros_like(traj.phis[0].half))
     e_prev = None  # samples of eps^{n-1}; eps^0 = 0 is never sampled
     out = [traj.phis[0]]
     for n in range(n_t):
         tau = float(grid.taus[n])
         rhs = (
-            eps.coeffs * (1.0 - 0.5 * tau * g2)
-            - (S.S[n] @ traj.ws).reshape(grid0.sizes)
-            - (traj.phis[n + 1].coeffs - traj.phis[n].coeffs)
+            eps.half * (1.0 - 0.5 * tau * g2)
+            - (S.S[n] @ traj.ws).reshape(grid0.half_sizes)
+            - (traj.phis[n + 1].half - traj.phis[n].half)
         )
         if n:
             e = to_physical(eps, dealias)
             ebar = 1.5 * e if e_prev is None else 1.5 * e - 0.5 * e_prev
             bracket = nprime_increment(1.5 * s[n] - 0.5 * s[n - 1], ebar, params)
-            rhs -= tau * traj.kappas[n] * project_mean(bracket).coeffs
+            rhs -= tau * traj.kappas[n] * project_mean(bracket).half
             e_prev = e
+        # The quadrature product (one BLAS call) need not round mirrored
+        # modes alike.
         eps_new = enforce_hermitian(SpectralField(grid0, rhs / (1.0 + 0.5 * tau * g2)))
-        zc = eps_new.coeffs.ravel()[zero]
+        zc = eps_new.half.ravel()[zero]
         if not abs(zc) <= 1e-13:  # also trips on a non-finite correction
             raise NumericalError(f"the correction moved the zero mode to {zc!r}")
-        eps_new.coeffs.ravel()[zero] = 0.0
+        eps_new.half.ravel()[zero] = 0.0
 
         out.append(traj.phis[n + 1] + eps_new)
         eps = eps_new
@@ -262,25 +266,28 @@ def _refreeze(
     params: ModelParams,
     dealias: bool = False,
     stepped=None,
+    rhs: bool = True,
 ) -> SdcTrajectory:
     """Build the trajectory along node fields phis from the block's initial
     state `start`, whose field is phis[0].
 
     `stepped` is (states, reports) as the stepper produced them past the
     initial node, when phis are its fields; otherwise `_restep` rebuilds
-    them.  Each node's right-hand side then takes one forward transform of
-    N' of its samples."""
+    them.  With `rhs`, for a sweep to follow, each node's right-hand side
+    then takes one forward transform of N' of its samples; without, `ws` is
+    None."""
     states, reports = stepped or _restep(start, phis, grid, symbol, params, dealias)
     states = [start] + states
     reports = [initial_report(start, symbol, params, dealias)] + reports
     samples = [_samples(st.phi, st.samples, dealias) for st in states]
-    grid0 = phis[0].grid
-    ws = np.empty((len(phis), grid0.total), dtype=complex)
-    for n, (phi, p) in enumerate(zip(phis, samples)):
-        # The stepped flow is the mean-constrained one, so its right-hand
-        # side carries no zero mode.
-        ws[n] = (phi.coeffs * symbol.g2 + nprime_of_samples(p, params).coeffs).ravel()
-        ws[n, grid0.zero_index] = 0.0
+    ws = None
+    if rhs:
+        ws = np.empty((len(phis), phis[0].half.size), dtype=complex)
+        for n, (phi, p) in enumerate(zip(phis, samples)):
+            # The stepped flow is the mean-constrained one, so its right-hand
+            # side carries no zero mode.
+            ws[n] = (phi.half * symbol.g2_half + nprime_of_samples(p, params).half).ravel()
+            ws[n, phis[0].grid.zero_index] = 0.0
     r_devs = np.array([st.r_dev for st in states])
     sqrt_f1s = np.array([st.sqrt_f1 for st in states[1:]])
     kappas = (start.sqrt_c1 + 0.5 * (r_devs[:-1] + r_devs[1:])) / sqrt_f1s
@@ -352,10 +359,10 @@ def sdc_solve(
         S = matrices[key]
 
         traj = predict(state, grid_b, symbol, params, dealias=dealias)
-        for _ in range(sweeps):
+        for sweep in range(1, sweeps + 1):
             phis = correct(traj, grid_b, S, symbol, params, dealias=dealias)
             del traj  # free the old block storage before the new one is built
-            traj = _refreeze(state, phis, grid_b, symbol, params, dealias)
+            traj = _refreeze(state, phis, grid_b, symbol, params, dealias, rhs=sweep < sweeps)
 
         # A later block's first node is the previous block's last one.
         for n in range(1 if records else 0, count + 1):

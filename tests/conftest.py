@@ -6,10 +6,8 @@ from ipfc import (
     ProjectionSpec,
     build_grid,
     build_symbol,
-    enforce_hermitian,
     field_from_coeffs,
     project_mean,
-    zeros_field,
 )
 from ipfc.harness import dodecagonal_projection
 
@@ -26,33 +24,36 @@ def grid_1d(n: int = 16, b: float = 1.0):
     return spec, build_grid(spec, (n,))
 
 
+def _pair_field(grid, value):
+    """Field with `value` at the first axis's mode 1 and its conjugate at -1."""
+    c = np.zeros(grid.sizes, dtype=complex)
+    e1 = [1] + [0] * (len(grid.sizes) - 1)
+    c.ravel()[grid.flat_index(e1)] = value
+    c.ravel()[grid.flat_index([-v for v in e1])] = np.conj(value)
+    return field_from_coeffs(grid, c)
+
+
 def sine_field(grid, amplitude: float = 1.0):
     """Single conjugate pair along the first axis: amplitude * sin(k_1 . x)."""
-    f = zeros_field(grid)
-    e1 = [1] + [0] * (len(grid.sizes) - 1)
-    f.coeffs.ravel()[grid.flat_index(e1)] = -0.5j * amplitude
-    f.coeffs.ravel()[grid.flat_index([-v for v in e1])] = 0.5j * amplitude
-    return f
+    return _pair_field(grid, -0.5j * amplitude)
 
 
 def cosine_field(grid, amplitude: float = 1.0):
-    f = zeros_field(grid)
-    e1 = [1] + [0] * (len(grid.sizes) - 1)
-    f.coeffs.ravel()[grid.flat_index(e1)] = 0.5 * amplitude
-    f.coeffs.ravel()[grid.flat_index([-v for v in e1])] = 0.5 * amplitude
-    return f
+    return _pair_field(grid, 0.5 * amplitude)
 
 
 def random_field(grid, rng, scale=0.1, zero_mean=True, zero_extreme=False):
     """Random conjugate-symmetric field, optionally mean-free and with the
     unpaired extreme planes cleared."""
     c = scale * (rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes))
-    f = enforce_hermitian(field_from_coeffs(grid, c))
+    f = field_from_coeffs(grid, c)
     if zero_extreme:
+        c = f.coeffs.copy()
         for ax, nj in enumerate(grid.sizes):
             sl = [slice(None)] * len(grid.sizes)
             sl[ax] = nj // 2
-            f.coeffs[tuple(sl)] = 0.0
+            c[tuple(sl)] = 0.0
+        f = field_from_coeffs(grid, c)
     if zero_mean:
         f = project_mean(f)
     return f

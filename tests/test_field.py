@@ -6,6 +6,7 @@ import pytest
 from ipfc import (
     GridMismatchError,
     ProjectionSpec,
+    SpectralField,
     apply_symbol,
     axpy,
     build_grid,
@@ -24,7 +25,6 @@ from ipfc import (
     to_spectral,
     zeros_field,
 )
-from ipfc.errors import NumericalError
 
 from conftest import cosine_field, grid_1d, random_field
 
@@ -62,7 +62,7 @@ def brute_convolution_power(grid, coeffs, power):
 def test_delta_transforms_to_constant():
     spec, grid = grid_1d(8)
     f = zeros_field(grid)
-    f.coeffs.ravel()[grid.zero_index] = 1.0
+    f.half.ravel()[grid.zero_index] = 1.0
     p = to_physical(f)
     np.testing.assert_allclose(p.values, np.ones(8), atol=1e-15)
 
@@ -81,12 +81,16 @@ def test_cosine_collocation_values():
     np.testing.assert_allclose(to_physical(f).values, np.cos(xs), atol=1e-15)
 
 
-def test_to_physical_rejects_asymmetric():
+def test_field_from_coeffs_folds_unpaired_mode():
+    # a mode without its conjugate partner is split with it: 1 at h = 1
+    # becomes cos(x)
     spec, grid = grid_1d(8)
-    f = zeros_field(grid)
-    f.coeffs.ravel()[grid.flat_index([1])] = 1.0  # no conjugate partner
-    with pytest.raises(NumericalError):
-        to_physical(f)
+    c = np.zeros(8, dtype=complex)
+    c[grid.flat_index([1])] = 1.0
+    f = field_from_coeffs(grid, c)
+    assert f.coeffs[grid.flat_index([1])] == f.coeffs[grid.flat_index([-1])] == 0.5
+    xs = 2 * np.pi * np.arange(8) / 8
+    np.testing.assert_allclose(to_physical(f).values, np.cos(xs), atol=1e-15)
 
 
 # -- inner product -------------------------------------------------------------
@@ -143,9 +147,11 @@ def test_lincomb_identities(rng):
 
 
 def test_hermitian_enforcement(rng):
-    spec, grid = grid_1d(16)
-    c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    f = field_from_coeffs(grid, c)
+    # raw half-layout storage: the self-paired planes start asymmetric
+    grid = build_grid(ProjectionSpec.identity(2), (6, 8))
+    shape = grid.half_sizes
+    f = SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert hermitian_violation(f) > 0.1
     h = enforce_hermitian(f)
     assert hermitian_violation(h) <= 1e-15
     # projection is idempotent
@@ -155,7 +161,7 @@ def test_hermitian_enforcement(rng):
 def test_project_mean():
     spec, grid = grid_1d(8)
     f = zeros_field(grid)
-    f.coeffs.ravel()[grid.zero_index] = 3.0
+    f.half.ravel()[grid.zero_index] = 3.0
     assert project_mean(f).coeffs.ravel()[grid.zero_index] == 0.0
 
 
@@ -303,9 +309,10 @@ def test_dump_round_trip_bit_exact(rng, dodecagonal_small):
 
 def test_dump_drops_tiny_coefficients():
     spec, grid = grid_1d(8)
-    f = cosine_field(grid)
-    f.coeffs.ravel()[grid.flat_index([3])] = 1e-16
-    f.coeffs.ravel()[grid.flat_index([-3])] = 1e-16
+    c = cosine_field(grid).coeffs.copy()
+    c[grid.flat_index([3])] = 1e-16
+    c[grid.flat_index([-3])] = 1e-16
+    f = field_from_coeffs(grid, c)
     buf = io.StringIO()
     dump_field(f, buf)
     assert len(buf.getvalue().strip().splitlines()) == 3  # header + the pair

@@ -9,6 +9,7 @@ from ipfc import (
     build_grid,
     build_symbol,
     dump_field,
+    field_from_coeffs,
     parse_config,
     serialize_config,
     spectrum_report,
@@ -228,8 +229,7 @@ def test_spectrum_invariant_under_translation():
     f = field_from_modes(grid, ring_star_modes(grid, (1.0, q2), 0.3))
     shift = np.array([0.37, -1.21])
     phases = np.exp(-1j * grid.kvec @ shift)
-    g = f.copy()
-    g.coeffs = (g.coeffs.ravel() * phases).reshape(grid.sizes)
+    g = field_from_coeffs(grid, f.coeffs.ravel() * phases)
     _, _, v1 = spectrum_report(f, grid, 0.1)
     _, _, v2 = spectrum_report(g, grid, 0.1)
     assert v1 == v2 == "12-fold"

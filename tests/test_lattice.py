@@ -153,9 +153,12 @@ def test_symbol_root_mode():
 def test_symbol_even_on_live_modes(dodecagonal_small):
     spec, grid = dodecagonal_small
     sym = build_symbol(spec, grid, (1.0, 2 * np.cos(np.pi / 12)))
-    g = sym.g.ravel()
-    live = grid.live_mask.ravel()
-    assert np.array_equal(g[live], g[grid.neg_flat][live])
+    # the full view agrees with the symbol of every live mode's own |k|^2
+    ksq = (grid.kvec**2).sum(axis=1)
+    want = (1.0 - ksq) * ((2 * np.cos(np.pi / 12)) ** 2 - ksq)
+    live = grid.unfold(grid.live_mask, conjugate=False).ravel()
+    assert np.array_equal(sym.g.ravel()[live], want[live])
+    assert np.array_equal(sym.g.ravel()[grid.neg_flat][live], want[live])
 
 
 def test_symbol_rejects_bad_scales():
@@ -178,7 +181,7 @@ def test_live_mask_flags_asymmetric_extremes(dodecagonal_small):
     assert not grid.all_live
     # the zero mode and small interior modes are always live
     assert grid.live_mask.ravel()[grid.zero_index]
-    assert grid.live_mask.ravel()[grid.flat_index([1, 0, 0, 0])]
+    assert grid.live_mask[1, 0, 0, 0]
 
 
 def test_sample_real_space_cosine():

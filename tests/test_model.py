@@ -66,7 +66,7 @@ def test_nprime_zero_and_constant():
     assert norm_ap(nprime(zeros_field(grid), params)) == 0.0
 
     const = zeros_field(grid)
-    const.coeffs.ravel()[grid.zero_index] = 1.0
+    const.half.ravel()[grid.zero_index] = 1.0
     out = nprime(const, params)
     # eps - alpha + 1 = 10 - 4 + 1
     assert out.coeffs.ravel()[grid.zero_index] == pytest.approx(7.0)

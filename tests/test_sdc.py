@@ -7,6 +7,7 @@ from ipfc import (
     correct,
     evolve,
     init_state,
+    inner_ap,
     integration_matrix,
     norm_ap,
     predict,
@@ -315,8 +316,8 @@ def test_sdc_records_match_node_fields(bench_1d, rng, monkeypatch, sweeps, n_t, 
         if i == 0:
             assert rep.w_norm_sq == 0.0
         else:
-            diff = phi.coeffs - phis[i - 1].coeffs
-            assert rep.w_norm_sq == float(np.vdot(diff, diff).real) / (tau * tau)
+            diff = phi - phis[i - 1]
+            assert rep.w_norm_sq == inner_ap(diff, diff) / (tau * tau)
         r_dev = float(traj.r_devs[n])
         assert rep.r_value == sqrt_c1 + r_dev
         grad = energy(phi, symbol, params) - bulk_mean(phi, params)
