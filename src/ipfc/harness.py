@@ -469,7 +469,7 @@ def ring_star_modes(
     for r in radii:
         sel |= np.abs(kabs - float(r)) <= tol
     sel[grid.zero_index] = False
-    sel &= grid.unfold(grid.live_mask, conjugate=False).ravel()
+    sel &= grid.unfold(grid.live_mask).ravel()
     flats = np.flatnonzero(sel)
     pair_keys = sorted({int(min(i, grid.neg_flat[i])) for i in flats})
     rng = np.random.default_rng(seed)

@@ -127,14 +127,14 @@ class IndexGrid:
     def multi_index(self, flat: int) -> np.ndarray:
         return self.h_matrix[flat].copy()
 
-    def unfold(self, half: np.ndarray, conjugate: bool = True) -> np.ndarray:
+    def unfold(self, half: np.ndarray) -> np.ndarray:
         """Read-only full-layout copy of half-layout values: each mode past
-        the half takes its mirror's value, conjugated for coefficients."""
+        the half takes the conjugate of its mirror's value."""
         full = np.empty(self.sizes, dtype=half.dtype)
         h = self.half_sizes[-1]
         full[..., :h] = half
         mirror = full.ravel()[self.neg_flat.reshape(self.sizes)[..., h:]]
-        full[..., h:] = np.conj(mirror) if conjugate else mirror
+        full[..., h:] = np.conj(mirror)
         full.setflags(write=False)
         return full
 
@@ -155,12 +155,12 @@ class OperatorSymbol:
     @property
     def g(self) -> np.ndarray:
         """Full-layout view of the symbol."""
-        return self.grid.unfold(self.g_half, conjugate=False)
+        return self.grid.unfold(self.g_half)
 
     @property
     def g2(self) -> np.ndarray:
         """Full-layout view of the squared symbol."""
-        return self.grid.unfold(self.g2_half, conjugate=False)
+        return self.grid.unfold(self.g2_half)
 
 
 def _injectivity_violation(spec: ProjectionSpec, sizes, tol: float):

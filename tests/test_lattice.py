@@ -156,7 +156,7 @@ def test_symbol_even_on_live_modes(dodecagonal_small):
     # the full view agrees with the symbol of every live mode's own |k|^2
     ksq = (grid.kvec**2).sum(axis=1)
     want = (1.0 - ksq) * ((2 * np.cos(np.pi / 12)) ** 2 - ksq)
-    live = grid.unfold(grid.live_mask, conjugate=False).ravel()
+    live = grid.unfold(grid.live_mask).ravel()
     assert np.array_equal(sym.g.ravel()[live], want[live])
     assert np.array_equal(sym.g.ravel()[grid.neg_flat][live], want[live])
 
