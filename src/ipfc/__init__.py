@@ -9,25 +9,21 @@ from .lattice import (
     build_grid,
     build_symbol,
     sample_real_space,
-    wavevector,
 )
 from .field import (
     PhysicalField,
     SpectralField,
     apply_symbol,
-    axpy,
     dump_field,
     enforce_hermitian,
     field_from_coeffs,
     hermitian_violation,
     inner_ap,
     load_field,
-    mean_coefficient,
     norm_ap,
     pointwise_poly,
     pointwise_poly_mean,
     project_mean,
-    resolvent_apply,
     to_physical,
     to_spectral,
     zeros_field,
@@ -39,7 +35,6 @@ from .model import (
     bulk_mean,
     energy,
     nprime,
-    sav_ratio_u,
     variational_derivative,
 )
 from .sav_cn import StepReport, StepperState, cn_step, evolve, init_state, modified_energy

@@ -30,10 +30,8 @@ __all__ = [
     "enforce_hermitian",
     "hermitian_violation",
     "project_mean",
-    "mean_coefficient",
     "inner_ap",
     "norm_ap",
-    "axpy",
     "to_physical",
     "to_spectral",
     "samples_to_spectral",
@@ -41,7 +39,6 @@ __all__ = [
     "pointwise_poly",
     "pointwise_poly_mean",
     "apply_symbol",
-    "resolvent_apply",
     "dump_field",
     "load_field",
 ]
@@ -152,12 +149,6 @@ def field_from_coeffs(grid: IndexGrid, coeffs) -> SpectralField:
     return SpectralField(grid, half)
 
 
-def axpy(alpha: float, x: SpectralField, y: SpectralField) -> SpectralField:
-    """alpha * x + y, componentwise."""
-    x._check(y)
-    return SpectralField(x.grid, alpha * x.half + y.half)
-
-
 def enforce_hermitian(f: SpectralField) -> SpectralField:
     """Project onto conjugate-symmetric coefficients.
 
@@ -190,11 +181,6 @@ def hermitian_violation(f: SpectralField) -> float:
     if not f.grid.all_live:
         worst = max(worst, float(np.abs(f.half[~f.grid.live_mask]).max()))
     return worst
-
-
-def mean_coefficient(f: SpectralField) -> complex:
-    """Zero-mode coefficient, i.e. the spatial mean of the field."""
-    return complex(f.half.ravel()[f.grid.zero_index])
 
 
 def project_mean(f: SpectralField) -> SpectralField:
@@ -349,15 +335,6 @@ def apply_symbol(f: SpectralField, symbol: OperatorSymbol, power: int = 1) -> Sp
     if power == 2:
         return SpectralField(f.grid, f.half * symbol.g2_half)
     raise ValueError("power must be 1 or 2")
-
-
-def resolvent_apply(f: SpectralField, symbol: OperatorSymbol, tau: float) -> SpectralField:
-    """Apply (I + tau/2 * G^2)^{-1}; the denominator is >= 1 for tau > 0."""
-    if symbol.grid is not f.grid:
-        raise GridMismatchError("symbol was built for a different grid")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return SpectralField(f.grid, f.half / (1.0 + 0.5 * tau * symbol.g2_half))
 
 
 # -- portable dumps -------------------------------------------------------------

@@ -638,18 +638,16 @@ def write_pgm(path: str, raster: np.ndarray) -> None:
 # -- drivers ---------------------------------------------------------------------
 
 
-def _run_scheme(
-    state0: StepperState, symbol, params, dealias: bool, tcfg: TimeCfg, on_node=None
-) -> SpectralField:
-    """Step the initial state over [0, T] with the configured scheme and
-    return the final field.  on_node(step, t, tau, report, phi), if given,
-    is called for every node after the initial one as soon as the scheme has
-    finished it: each step for `sav_cn`, each corrected block for
-    `sav_cn_sdc`."""
+def _run_scheme(state0: StepperState, symbol, params, tcfg: TimeCfg, on_node=None) -> SpectralField:
+    """Step the initial state over [0, T] with the configured scheme, on the
+    sampling grid the state was built with, and return the final field.
+    on_node(step, t, tau, report, phi), if given, is called for every node
+    after the initial one as soon as the scheme has finished it: each step
+    for `sav_cn`, each corrected block for `sav_cn_sdc`."""
     if tcfg.scheme == "sav_cn_sdc":
         return sdc_solve(
             state0, tcfg.T, tcfg.nt, symbol, params, sweeps=tcfg.sweeps, block=tcfg.block,
-            dealias=dealias, node_hook=on_node,
+            node_hook=on_node,
         )[0]
     times = np.linspace(0.0, tcfg.T, tcfg.nt + 1)
 
@@ -657,7 +655,7 @@ def _run_scheme(
         if on_node is not None:
             on_node(i, state.t, float(times[i] - times[i - 1]), report, state.phi)
 
-    return evolve(state0, times, symbol, params, dealias=dealias, on_step=on_step)[0].phi
+    return evolve(state0, times, symbol, params, on_step=on_step)[0].phi
 
 
 def _write_energy_csv(path: str, phi0, symbol, params, dealias: bool, tcfg: TimeCfg, on_node=None):
@@ -675,8 +673,8 @@ def _write_energy_csv(path: str, phi0, symbol, params, dealias: bool, tcfg: Time
                 on_node(t, phi)
 
         state0 = init_state(phi0, symbol, params, dealias=dealias)
-        row(0, 0.0, 0.0, initial_report(state0, symbol, params, dealias), phi0)
-        return _run_scheme(state0, symbol, params, dealias, tcfg, on_node=row)
+        row(0, 0.0, 0.0, initial_report(state0, symbol, params), phi0)
+        return _run_scheme(state0, symbol, params, tcfg, on_node=row)
 
 
 def _output_dir(cfg: ExperimentConfig, base_dir: str) -> str:
@@ -743,7 +741,7 @@ def run_convergence(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
     state0 = init_state(phi0, symbol, params, dealias=cfg.model.dealias)
 
     def final(**change) -> SpectralField:
-        return _run_scheme(state0, symbol, params, cfg.model.dealias, replace(tcfg, **change))
+        return _run_scheme(state0, symbol, params, replace(tcfg, **change))
 
     reference = final(scheme="sav_cn_sdc", nt=ccfg.reference_nt, sweeps=max(tcfg.sweeps, 1))
     rows: List[dict] = []

@@ -20,7 +20,6 @@ __all__ = [
     "IndexGrid",
     "OperatorSymbol",
     "build_grid",
-    "wavevector",
     "build_symbol",
     "sample_real_space",
 ]
@@ -65,18 +64,10 @@ class ProjectionSpec:
         """The d x n matrix P @ B mapping integer modes to wavevectors."""
         return self.P @ self.B
 
-    def wavevector(self, h) -> np.ndarray:
-        return self.projected_basis @ np.asarray(h, dtype=float)
-
     @classmethod
     def identity(cls, d: int) -> "ProjectionSpec":
         """Periodic crystal: d = n and P = B = I."""
         return cls(d=d, n=d, P=np.eye(d), B=np.eye(d))
-
-
-def wavevector(spec: ProjectionSpec, h) -> np.ndarray:
-    """Projected wavevector k_h = P @ B @ h of the integer mode h."""
-    return spec.wavevector(h)
 
 
 @dataclass(eq=False)
@@ -123,9 +114,6 @@ class IndexGrid:
                 raise ValueError(f"mode index {hj} outside -{nj // 2} .. {nj // 2 - 1}")
             pos.append(hj % nj)
         return int(np.ravel_multi_index(tuple(pos), self.sizes))
-
-    def multi_index(self, flat: int) -> np.ndarray:
-        return self.h_matrix[flat].copy()
 
     def unfold(self, half: np.ndarray) -> np.ndarray:
         """Read-only full-layout copy of half-layout values: each mode past

@@ -35,7 +35,6 @@ __all__ = [
     "bulk_energy_f1",
     "energy",
     "variational_derivative",
-    "sav_ratio_u",
     "sav_ingredients",
     "sqrt_f1_deviation",
 ]
@@ -144,12 +143,6 @@ def sav_ingredients(fbar, params: ModelParams, dealias: bool = False):
     p = fbar if isinstance(fbar, PhysicalField) else to_physical(fbar, dealias)
     sqrt_f1 = float(np.sqrt(_shifted_bulk(bulk_mean_of_samples(p, params), params)))
     return nprime_of_samples(p, params) / sqrt_f1, sqrt_f1
-
-
-def sav_ratio_u(fbar: SpectralField, params: ModelParams, dealias: bool = False) -> SpectralField:
-    """N'(fbar) scaled by 1/sqrt(F1(fbar))."""
-    u, _ = sav_ingredients(fbar, params, dealias=dealias)
-    return u
 
 
 def sqrt_f1_deviation(nu: float, c1: float) -> float:

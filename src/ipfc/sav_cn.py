@@ -6,11 +6,12 @@ first step), the diagonal resolvent inverts the stiff part, and the rank-one
 auxiliary coupling is resolved by one scalar equation.  The scheme decays the
 modified energy  1/2 ||G phi||^2 + R^2 - c1  for every positive step size.
 
-The state carries the collocation samples of phi^n and phi^{n-1}.  Sampling
-is linear, so the samples of fbar are the same combination of them, and a
-step costs two transforms: the forward transform of N'(fbar) and the
-inverse transform of phi^{n+1}, whose samples give the bulk mean of the
-energy row and the next extrapolant.
+The state carries the collocation samples of phi^n and phi^{n-1}, on the
+grid `init_state` chose (refined for alias-free products on request); every
+later state keeps it.  Sampling is linear, so the samples of fbar are the
+same combination of them, and a step costs two transforms: the forward
+transform of N'(fbar) and the inverse transform of phi^{n+1}, whose samples
+give the bulk mean of the energy row and the next extrapolant.
 
 The auxiliary scalar R is stored as its deviation from sqrt(c1): for shifts
 as large as 1e16 the deviation carries the full precision that R^2 - c1
@@ -57,10 +58,9 @@ class StepperState:
     """Integrator state: current and previous field, auxiliary scalar, time.
 
     `samples` and `prev_samples` are the collocation samples of phi and
-    phi_prev, on the grid the step samples on (refined when dealiasing); a
-    step samples whichever is missing or on the other grid.  `sqrt_f1` is
-    sqrt(F1(fbar)) as frozen by the step that produced the state, None
-    before the first step.
+    phi_prev (None when phi_prev is); every step from this state samples on
+    their grid.  `sqrt_f1` is sqrt(F1(fbar)) as frozen by the step
+    that produced the state, None before the first step.
     """
 
     phi: SpectralField
@@ -68,7 +68,7 @@ class StepperState:
     r_dev: float
     sqrt_c1: float
     t: float
-    samples: Optional[PhysicalField] = None
+    samples: PhysicalField
     prev_samples: Optional[PhysicalField] = None
     sqrt_f1: Optional[float] = None
 
@@ -90,11 +90,12 @@ def init_state(
     symbol: OperatorSymbol,
     params: ModelParams,
     dealias: bool = False,
-    t0: float = 0.0,
 ) -> StepperState:
-    """Start a trajectory: R0 = sqrt(F1(phi0)), no previous field yet.
+    """Start a trajectory at t = 0: R0 = sqrt(F1(phi0)), no previous field
+    yet.
 
-    phi0 is sampled once; its samples feed the first step."""
+    phi0 is sampled once, on the grid refined for products when `dealias`
+    is set; the trajectory keeps that grid."""
     cmax = float(np.abs(phi0.half).max())
     if hermitian_violation(phi0) > 1e-11 * max(1.0, cmax):
         raise ValueError("initial field is not conjugate-symmetric")
@@ -111,25 +112,15 @@ def init_state(
         phi_prev=None,
         r_dev=float(sqrt_f1_deviation(nu, params.c1)),
         sqrt_c1=float(np.sqrt(params.c1)),
-        t=float(t0),
+        t=0.0,
         samples=samples,
     )
 
 
-def initial_report(
-    state: StepperState, symbol: OperatorSymbol, params: ModelParams, dealias: bool = False
-) -> StepReport:
+def initial_report(state: StepperState, symbol: OperatorSymbol, params: ModelParams) -> StepReport:
     """Energy row of a state's field as an initial node, from its samples."""
-    nu = bulk_mean_of_samples(_samples(state.phi, state.samples, dealias), params)
+    nu = bulk_mean_of_samples(state.samples, params)
     return _node_report(state.phi, None, 0.0, state.r_dev, state.sqrt_c1, nu, symbol)
-
-
-def _samples(f: SpectralField, carried: Optional[PhysicalField], dealias: bool) -> PhysicalField:
-    """The carried samples of f if they are on the grid a step with this
-    `dealias` samples on, else one inverse transform of f."""
-    if carried is not None and (carried.factor > 1) == dealias:
-        return carried
-    return to_physical(f, dealias)
 
 
 @dataclass
@@ -159,30 +150,26 @@ def _node_report(
     )
 
 
-def _frozen_ratio(state: StepperState, params: ModelParams, dealias: bool):
-    """Samples v of the state's field, and the mean-free ratio field u and
-    sqrt(F1) at its extrapolant, whose samples are combined from the carried
-    ones: one forward transform.  Returns (v, u coefficients, sqrt_f1)."""
-    v = _samples(state.phi, state.samples, dealias)
-    if state.phi_prev is None:
-        vbar = v
-    else:
-        vbar = 1.5 * v - 0.5 * _samples(state.phi_prev, state.prev_samples, dealias)
+def _frozen_ratio(state: StepperState, params: ModelParams):
+    """The mean-free ratio field u and sqrt(F1) at the state's extrapolant,
+    whose samples are combined from the carried ones: one forward transform.
+    Returns (u coefficients, sqrt_f1)."""
+    v = state.samples
+    vbar = v if state.phi_prev is None else 1.5 * v - 0.5 * state.prev_samples
     u, sqrt_f1 = sav_ingredients(vbar, params)
-    return v, project_mean(u).half, sqrt_f1  # mass constraint: u acts in the mean-zero space
+    return project_mean(u).half, sqrt_f1  # mass constraint: u acts in the mean-zero space
 
 
 def _advance(
-    state: StepperState, v: PhysicalField, u_c: np.ndarray, sqrt_f1: float,
-    phi_new: SpectralField, tau: float, symbol: OperatorSymbol, params: ModelParams,
-    dealias: bool,
+    state: StepperState, u_c: np.ndarray, sqrt_f1: float, phi_new: SpectralField,
+    tau: float, symbol: OperatorSymbol, params: ModelParams,
 ):
-    """The state and energy row at phi_new, reached from `state` (whose field
-    has samples v) over a step tau with the ratio field u frozen.  The
-    increment of R is taken on the stored fields, so an SDC refreeze of the
-    node fields reproduces it exactly; phi_new is sampled once."""
+    """The state and energy row at phi_new, reached from `state` over a step
+    tau with the ratio field u frozen.  The increment of R is taken on the
+    stored fields, so an SDC refreeze of the node fields reproduces it
+    exactly; phi_new is sampled once, on the grid of the state's samples."""
     r_inc = 0.5 * _coeff_inner(phi_new.half - state.phi.half, u_c)
-    v_new = to_physical(phi_new, dealias)
+    v_new = to_physical(phi_new, state.samples.factor > 1)
     new_state = StepperState(
         phi=phi_new,
         phi_prev=state.phi,
@@ -190,7 +177,7 @@ def _advance(
         sqrt_c1=state.sqrt_c1,
         t=state.t + tau,
         samples=v_new,
-        prev_samples=v,
+        prev_samples=state.samples,
         sqrt_f1=sqrt_f1,
     )
     report = _node_report(
@@ -200,17 +187,11 @@ def _advance(
     return new_state, report
 
 
-def _cn_step_full(
-    state: StepperState,
-    tau: float,
-    symbol: OperatorSymbol,
-    params: ModelParams,
-    dealias: bool = False,
-):
+def _cn_step_full(state: StepperState, tau: float, symbol: OperatorSymbol, params: ModelParams):
     if tau <= 0:
         raise ValueError("tau must be positive")
     grid = state.phi.grid
-    v, u_c, sqrt_f1 = _frozen_ratio(state, params, dealias)
+    u_c, sqrt_f1 = _frozen_ratio(state, params)
 
     phi_c = state.phi.half
     u_phi = _coeff_inner(u_c, phi_c)
@@ -226,7 +207,7 @@ def _cn_step_full(
     phi_new = SpectralField(grid, (c - 0.25 * tau * s * u_c) / denom)
     phi_new.half.ravel()[grid.zero_index] = 0.0
 
-    new_state, report = _advance(state, v, u_c, sqrt_f1, phi_new, tau, symbol, params, dealias)
+    new_state, report = _advance(state, u_c, sqrt_f1, phi_new, tau, symbol, params)
     checks = (sqrt_f1, gamma, s, new_state.r_dev, report.original_energy, report.w_norm_sq)
     if not np.all(np.isfinite(checks)):
         raise NumericalError(
@@ -236,15 +217,9 @@ def _cn_step_full(
     return new_state, report, _StepInternals(u=SpectralField(grid, u_c), s_value=s)
 
 
-def cn_step(
-    state: StepperState,
-    tau: float,
-    symbol: OperatorSymbol,
-    params: ModelParams,
-    dealias: bool = False,
-):
+def cn_step(state: StepperState, tau: float, symbol: OperatorSymbol, params: ModelParams):
     """Advance one step of size tau; returns (new_state, report)."""
-    new_state, report, _ = _cn_step_full(state, tau, symbol, params, dealias=dealias)
+    new_state, report, _ = _cn_step_full(state, tau, symbol, params)
     return new_state, report
 
 
@@ -258,7 +233,6 @@ def evolve(
     times,
     symbol: OperatorSymbol,
     params: ModelParams,
-    dealias: bool = False,
     on_step: Optional[Callable[[int, StepperState, StepReport], None]] = None,
 ):
     """Step through the node times (uniform or not); returns (state, reports).
@@ -276,7 +250,7 @@ def evolve(
     reports = []
     for i in range(times.size - 1):
         tau = float(times[i + 1] - times[i])
-        state, report = cn_step(state, tau, symbol, params, dealias=dealias)
+        state, report = cn_step(state, tau, symbol, params)
         state = replace(state, t=float(times[i + 1]))  # pin to the exact node time
         reports.append(report)
         if on_step is not None:

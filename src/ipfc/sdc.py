@@ -7,25 +7,27 @@ equation interval by interval.  One sweep lifts the global order from two
 to four.
 
 `_refreeze` is the one place node fields become an `SdcTrajectory`: it
-stores each node's samples, its right-hand side (a row of one nodes x modes
-array) when a sweep follows, its auxiliary-scalar deviation and its energy
+stores each node's samples, its auxiliary-scalar deviation and its energy
 row, and each interval's frozen ratio coefficient.  After the predictor it
-takes all but the right-hand sides from the stepper's states, so a
-predicted node costs the stepper's two transforms plus one.  After a sweep
-it re-runs the stepper's update on the corrected fields, at two transforms
-per node, plus one for the right-hand side unless the sweep was the last.
-The sweep itself forms the extrapolants' samples by linearity and costs two
-transforms per interval past the first, so a one-sweep node costs fewer
-than seven.  The energy rows of the final pass are the run's records.
+takes them all from the stepper's states, so a predicted node costs the
+stepper's two transforms.  After a sweep it re-runs the stepper's update on
+the corrected fields, at two transforms per node.  Every state samples on
+the grid of the block's initial state, which `init_state` chose.  The sweep
+builds the node right-hand sides (one forward transform each, into a row of
+one nodes x modes array) the first time it reads a trajectory, forms the
+extrapolants' samples by linearity and costs two transforms per interval
+past the first, so a one-sweep node costs fewer than seven.  The energy rows
+of the final pass are the run's records.
 
 Large node counts are handled by partitioning [0, T] into blocks of at most
 `block` intervals (4096 by default, at least two per block), applying
 predictor + sweeps per block and chaining the endpoint states.  A block
-holds, per node, its field and right-hand side in the half layout
-(16 (N/2 + 1) / N bytes per mode each, N the last axis size: 8.7 at
-N = 24) and its samples (8 bytes per mode, more when dealiasing).  The
-closed-form quadrature needs no node-count guard: it matches exact
-interval integrals to round-off at thousands of nodes.
+holds, per node, its field in the half layout (16 (N/2 + 1) / N bytes per
+mode, N the last axis size: 8.7 at N = 24), during a sweep its right-hand
+side in the same layout, and its samples (8 bytes per mode, 2^n times that
+on the refined product grid of an n-axis index grid).  The closed-form
+quadrature needs no node-count guard: it matches exact interval integrals
+to round-off at thousands of nodes.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .sav_cn import (
     StepReport,
     _advance,
     _frozen_ratio,
-    _samples,
     evolve,
     init_state,
     initial_report,
@@ -135,41 +136,35 @@ def integration_matrix(grid: ChebGrid) -> IntegrationMatrix:
 @dataclass(eq=False)
 class SdcTrajectory:
     """One block's node fields with what the correction sweep and the energy
-    rows need along them; built only by `_refreeze`."""
+    rows need along them; built only by `_refreeze`.  The sweep's right-hand
+    sides `ws` are built by the first `correct` along the trajectory."""
 
     grid: ChebGrid
     phis: List[SpectralField]
     samples: List[PhysicalField]  # collocation samples per node
     r_devs: np.ndarray           # R - sqrt(c1) per node
-    ws: Optional[np.ndarray]     # (nodes, modes): mean-free G^2 phi + N'(phi) per node, if built
     kappas: np.ndarray           # frozen R^{n+1/2} / sqrt(F1(fbar)) per interval
     reports: List[StepReport]    # energy row per node
+    ws: Optional[np.ndarray] = None  # (nodes, modes): mean-free G^2 phi + N'(phi) per node
 
 
-def _start_state(start, symbol: OperatorSymbol, params: ModelParams, dealias: bool) -> StepperState:
+def _start_state(start, symbol: OperatorSymbol, params: ModelParams) -> StepperState:
     if isinstance(start, StepperState):
         return start
-    return init_state(start, symbol, params, dealias=dealias)
+    return init_state(start, symbol, params)
 
 
-def predict(
-    start,
-    grid: ChebGrid,
-    symbol: OperatorSymbol,
-    params: ModelParams,
-    dealias: bool = False,
-) -> SdcTrajectory:
+def predict(start, grid: ChebGrid, symbol: OperatorSymbol, params: ModelParams) -> SdcTrajectory:
     """Run the Crank-Nicolson stepper over the node set and build the
     trajectory from its states.  `start` is the initial field, or the state
-    `init_state` built from it."""
-    state = _start_state(start, symbol, params, dealias)
+    `init_state` built from it (which chooses the sampling grid)."""
+    state = _start_state(start, symbol, params)
     states: List[StepperState] = []
     _, reports = evolve(
-        state, grid.nodes, symbol, params, dealias=dealias,
-        on_step=lambda i, st, report: states.append(st),
+        state, grid.nodes, symbol, params, on_step=lambda i, st, report: states.append(st)
     )
     phis = [state.phi] + [st.phi for st in states]
-    return _refreeze(state, phis, grid, symbol, params, dealias, stepped=(states, reports))
+    return _refreeze(state, phis, grid, symbol, params, stepped=(states, reports))
 
 
 def correct(
@@ -178,7 +173,6 @@ def correct(
     S: IntegrationMatrix,
     symbol: OperatorSymbol,
     params: ModelParams,
-    dealias: bool = False,
 ) -> List[SpectralField]:
     """One linear correction sweep; returns the corrected fields at all nodes.
 
@@ -194,7 +188,9 @@ def correct(
     The ratio coefficient kappa is frozen from the predictor; only the
     argument of N' sees the error.  The bracket is formed pointwise from
     samples: those of fbar combine the stored node samples, those of ebar
-    the samples of eps^n and eps^{n-1}.
+    the samples of eps^n and eps^{n-1}, taken on the same grid.  The node
+    right-hand sides, one forward transform each, are built on the first
+    sweep along `traj` and kept in `traj.ws`.
     """
     n_t = grid.taus.size
     if len(traj.phis) != n_t + 1:
@@ -203,6 +199,14 @@ def correct(
     grid0 = traj.phis[0].grid
     zero = grid0.zero_index
     s = traj.samples
+    if traj.ws is None:
+        traj.ws = np.empty((n_t + 1, traj.phis[0].half.size), dtype=complex)
+        for row, phi, p in zip(traj.ws, traj.phis, s):
+            # The stepped flow is the mean-constrained one, so its right-hand
+            # side carries no zero mode.
+            np.multiply(phi.half.ravel(), g2.ravel(), out=row)
+            row += nprime_of_samples(p, params).half.ravel()
+            row[zero] = 0.0
 
     eps = SpectralField(grid0, np.zeros_like(traj.phis[0].half))
     e_prev = None  # samples of eps^{n-1}; eps^0 = 0 is never sampled
@@ -215,7 +219,7 @@ def correct(
             - (traj.phis[n + 1].half - traj.phis[n].half)
         )
         if n:
-            e = to_physical(eps, dealias)
+            e = to_physical(eps, s[0].factor > 1)
             ebar = 1.5 * e if e_prev is None else 1.5 * e - 0.5 * e_prev
             bracket = nprime_increment(1.5 * s[n] - 0.5 * s[n - 1], ebar, params)
             rhs -= tau * traj.kappas[n] * project_mean(bracket).half
@@ -239,7 +243,6 @@ def _restep(
     grid: ChebGrid,
     symbol: OperatorSymbol,
     params: ModelParams,
-    dealias: bool,
 ):
     """The states and energy rows past `start` that the stepper passes
     through when its solves land on the given node fields: each interval
@@ -249,9 +252,9 @@ def _restep(
     states, reports = [], []
     state = start
     for n in range(1, len(phis)):
-        v, u_c, sqrt_f1 = _frozen_ratio(state, params, dealias)
+        u_c, sqrt_f1 = _frozen_ratio(state, params)
         state, report = _advance(
-            state, v, u_c, sqrt_f1, phis[n], float(grid.taus[n - 1]), symbol, params, dealias
+            state, u_c, sqrt_f1, phis[n], float(grid.taus[n - 1]), symbol, params
         )
         states.append(state)
         reports.append(report)
@@ -264,36 +267,23 @@ def _refreeze(
     grid: ChebGrid,
     symbol: OperatorSymbol,
     params: ModelParams,
-    dealias: bool = False,
     stepped=None,
-    rhs: bool = True,
 ) -> SdcTrajectory:
     """Build the trajectory along node fields phis from the block's initial
     state `start`, whose field is phis[0].
 
     `stepped` is (states, reports) as the stepper produced them past the
     initial node, when phis are its fields; otherwise `_restep` rebuilds
-    them.  With `rhs`, for a sweep to follow, each node's right-hand side
-    then takes one forward transform of N' of its samples; without, `ws` is
-    None."""
-    states, reports = stepped or _restep(start, phis, grid, symbol, params, dealias)
+    them."""
+    states, reports = stepped or _restep(start, phis, grid, symbol, params)
     states = [start] + states
-    reports = [initial_report(start, symbol, params, dealias)] + reports
-    samples = [_samples(st.phi, st.samples, dealias) for st in states]
-    ws = None
-    if rhs:
-        ws = np.empty((len(phis), phis[0].half.size), dtype=complex)
-        for n, (phi, p) in enumerate(zip(phis, samples)):
-            # The stepped flow is the mean-constrained one, so its right-hand
-            # side carries no zero mode.
-            ws[n] = (phi.half * symbol.g2_half + nprime_of_samples(p, params).half).ravel()
-            ws[n, phis[0].grid.zero_index] = 0.0
+    reports = [initial_report(start, symbol, params)] + reports
+    samples = [st.samples for st in states]
     r_devs = np.array([st.r_dev for st in states])
     sqrt_f1s = np.array([st.sqrt_f1 for st in states[1:]])
     kappas = (start.sqrt_c1 + 0.5 * (r_devs[:-1] + r_devs[1:])) / sqrt_f1s
     return SdcTrajectory(
-        grid=grid, phis=phis, samples=samples, r_devs=r_devs, ws=ws, kappas=kappas,
-        reports=reports,
+        grid=grid, phis=phis, samples=samples, r_devs=r_devs, kappas=kappas, reports=reports
     )
 
 
@@ -322,21 +312,21 @@ def sdc_solve(
     params: ModelParams,
     sweeps: int = 1,
     block: int = 4096,
-    dealias: bool = False,
     node_hook: Optional[Callable[[int, float, float, StepReport, SpectralField], None]] = None,
 ):
     """Predictor plus `sweeps` correction sweeps over [0, T] with n_t intervals.
 
-    `start` is the initial field, or the state `init_state` built from it.
-    Returns (final_field, records) where records is a list of
-    (t, tau, StepReport) tuples along the corrected trajectory, including the
-    initial node.  With sweeps=0 this reduces to plain predictor stepping on
-    the Chebyshev nodes.  Horizons with more than `block` intervals are split
-    into near-equal blocks chained at their endpoints; lower `block` when the
-    per-node trajectory storage would not fit in memory.  Avoid very deep
-    chains (hundreds of blocks): the predictor leaves an undamped ringing
-    component in strongly damped modes, and re-seeding it across many blocks
-    lets the sweep amplify what a single grid keeps at round-off.
+    `start` is the initial field, or the state `init_state` built from it;
+    every block samples on that state's grid.  Returns (final_field,
+    records) where records is a list of (t, tau, StepReport) tuples along
+    the corrected trajectory, including the initial node.  With sweeps=0
+    this reduces to plain predictor stepping on the Chebyshev nodes.
+    Horizons with more than `block` intervals are split into near-equal
+    blocks chained at their endpoints; lower `block` when the per-node
+    trajectory storage would not fit in memory.  Avoid very deep chains
+    (hundreds of blocks): the predictor leaves an undamped ringing component
+    in strongly damped modes, and re-seeding it across many blocks lets the
+    sweep amplify what a single grid keeps at round-off.
 
     node_hook(step, t, tau, report, phi), if given, is called for every node
     after the initial one as soon as its block is corrected.
@@ -345,12 +335,12 @@ def sdc_solve(
     records: List[tuple] = []
     matrices: dict = {}
 
-    state = _start_state(start, symbol, params, dealias)
+    state = _start_state(start, symbol, params)
     traj = None
     t_offset = 0.0
     for count in counts:
         if traj is not None:  # a later block starts at the previous block's last node
-            state = init_state(traj.phis[-1], symbol, params, dealias=dealias)
+            state = init_state(traj.phis[-1], symbol, params, dealias=state.samples.factor > 1)
         t_b = T * count / float(n_t)
         grid_b = cheb_nodes(t_b, count)
         key = (count, t_b)
@@ -358,11 +348,11 @@ def sdc_solve(
             matrices[key] = integration_matrix(grid_b)
         S = matrices[key]
 
-        traj = predict(state, grid_b, symbol, params, dealias=dealias)
-        for sweep in range(1, sweeps + 1):
-            phis = correct(traj, grid_b, S, symbol, params, dealias=dealias)
+        traj = predict(state, grid_b, symbol, params)
+        for _ in range(sweeps):
+            phis = correct(traj, grid_b, S, symbol, params)
             del traj  # free the old block storage before the new one is built
-            traj = _refreeze(state, phis, grid_b, symbol, params, dealias, rhs=sweep < sweeps)
+            traj = _refreeze(state, phis, grid_b, symbol, params)
 
         # A later block's first node is the previous block's last one.
         for n in range(1 if records else 0, count + 1):

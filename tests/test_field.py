@@ -8,7 +8,6 @@ from ipfc import (
     ProjectionSpec,
     SpectralField,
     apply_symbol,
-    axpy,
     build_grid,
     build_symbol,
     dump_field,
@@ -20,7 +19,6 @@ from ipfc import (
     norm_ap,
     pointwise_poly,
     project_mean,
-    resolvent_apply,
     to_physical,
     to_spectral,
     zeros_field,
@@ -143,7 +141,6 @@ def test_lincomb_identities(rng):
     # componentwise oracle
     expected = (3.0 * f.coeffs - g.coeffs) / 2.0
     np.testing.assert_allclose(((3.0 * f - g) / 2.0).coeffs, expected, rtol=1e-15)
-    np.testing.assert_allclose(axpy(2.0, f, g).coeffs, 2.0 * f.coeffs + g.coeffs, rtol=1e-15)
 
 
 def test_hermitian_enforcement(rng):
@@ -237,41 +234,6 @@ def test_apply_symbol_power_two():
     out = apply_symbol(f, sym, power=2)
     # g = 2 at |h| = 1, so g^2 = 4
     np.testing.assert_allclose(out.coeffs, 4.0 * f.coeffs, rtol=1e-15)
-
-
-def test_resolvent_passthrough_and_inverse(rng):
-    # the tau -> 0 limit is checked on a grid whose symbol stays moderate,
-    # so tau * g^2 is far below the tolerance
-    spec8, grid8 = grid_1d(8)
-    sym8 = build_symbol(spec8, grid8, (np.sqrt(2.0), np.sqrt(3.0)))
-    f8 = random_field(grid8, rng)
-    tiny = resolvent_apply(f8, sym8, 1e-14)
-    assert np.abs(tiny.coeffs - f8.coeffs).max() < 1e-10
-
-    spec, grid = grid_1d(16)
-    sym = build_symbol(spec, grid, (np.sqrt(2.0), np.sqrt(3.0)))
-    f = random_field(grid, rng)
-    tau = 0.37
-    r = resolvent_apply(f, sym, tau)
-    back = r.coeffs * (1.0 + 0.5 * tau * sym.g2)
-    np.testing.assert_allclose(back, f.coeffs, rtol=1e-13, atol=1e-18)
-
-
-def test_resolvent_root_mode_unchanged():
-    spec, grid = grid_1d(8, b=np.sqrt(2.0))
-    sym = build_symbol(spec, grid, (np.sqrt(2.0), np.sqrt(3.0)))
-    f = cosine_field(grid)
-    out = resolvent_apply(f, sym, 5.0)
-    np.testing.assert_allclose(out.coeffs, f.coeffs, rtol=1e-15)
-
-
-def test_symbol_resolvent_commute(rng):
-    spec, grid = grid_1d(16)
-    sym = build_symbol(spec, grid, (np.sqrt(2.0), np.sqrt(3.0)))
-    f = random_field(grid, rng)
-    a = apply_symbol(resolvent_apply(f, sym, 0.2), sym, power=1)
-    b = resolvent_apply(apply_symbol(f, sym, power=1), sym, 0.2)
-    np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=1e-13, atol=1e-18)
 
 
 def test_symbol_self_adjoint(rng):

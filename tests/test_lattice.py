@@ -9,7 +9,6 @@ from ipfc import (
     field_from_coeffs,
     lattice,
     sample_real_space,
-    wavevector,
     zeros_field,
 )
 from ipfc._kernels import bohr_fourier_sum
@@ -30,7 +29,7 @@ def test_grid_indices_small():
 def test_flat_index_round_trip():
     spec, grid = grid_1d(8)
     for flat in range(grid.total):
-        h = grid.multi_index(flat)
+        h = grid.h_matrix[flat]
         assert grid.flat_index(h) == flat
     with pytest.raises(ValueError):
         grid.flat_index([4])  # +N/2 is not retained
@@ -113,14 +112,14 @@ def test_dodecagonal_grid_mode_count():
     assert grid.total == 331776  # 24**4
 
 
-def test_wavevector_identity_and_projection():
+def test_wavevector_identity_and_projection(dodecagonal_small):
     spec, grid = grid_1d(8)
-    assert wavevector(spec, [3]) == pytest.approx(3.0)
+    assert grid.kvec[grid.flat_index([3])] == pytest.approx(3.0)
 
-    spec4 = ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4))
-    np.testing.assert_allclose(wavevector(spec4, [1, 0, 0, 0]), [1.0, 0.0], atol=1e-15)
+    spec4, grid4 = dodecagonal_small
+    np.testing.assert_allclose(grid4.kvec[grid4.flat_index([1, 0, 0, 0])], [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(
-        wavevector(spec4, [0, 1, 0, 0]),
+        grid4.kvec[grid4.flat_index([0, 1, 0, 0])],
         [np.cos(np.pi / 6), np.sin(np.pi / 6)],
         atol=1e-15,
     )
@@ -131,7 +130,7 @@ def test_wavevector_negation_exact(dodecagonal_small):
     rng = np.random.default_rng(3)
     for _ in range(50):
         h = rng.integers(-3, 4, size=4)
-        assert np.array_equal(wavevector(spec, -h), -wavevector(spec, h))
+        assert np.array_equal(grid.kvec[grid.flat_index(-h)], -grid.kvec[grid.flat_index(h)])
 
 
 def test_symbol_values_1d():

@@ -50,19 +50,20 @@ def test_step_makes_two_transforms(bench_1d, rng, fft_count, dealias):
     assert fft_count.calls == 1
     for k in range(4):
         before = fft_count.calls
-        st_, _ = cn_step(st_, 0.01, symbol, params, dealias=dealias)
+        st_, _ = cn_step(st_, 0.01, symbol, params)
         assert fft_count.calls - before == 2
 
 
 @pytest.mark.parametrize("dealias", [False, True])
-def test_sdc_node_makes_at_most_seven_transforms(bench_1d, rng, fft_count, dealias):
-    # predictor 3M + 1, sweep 2(M - 1), and the last refreeze 2M, with no
-    # right-hand sides after the last sweep: 27 for M = 4
+def test_sdc_solve_transform_counts(bench_1d, rng, fft_count, dealias):
+    # on M = 4 intervals: the predictor's 2M steps, then per sweep M + 1
+    # right-hand sides, 2(M - 1) in the sweep and 2M in its refreeze
     spec, grid, symbol, params = bench_1d
     state0 = init_state(random_field(grid, rng, scale=0.2), symbol, params, dealias=dealias)
-    before = fft_count.calls
-    sdc_solve(state0, 0.05, 4, symbol, params, sweeps=1, dealias=dealias)
-    assert fft_count.calls - before <= 7 * 4
+    for sweeps, count in ((0, 8), (1, 27), (2, 46)):
+        before = fft_count.calls
+        sdc_solve(state0, 0.05, 4, symbol, params, sweeps=sweeps)
+        assert fft_count.calls - before == count
 
 
 def _assert_samples_match(fld, samples, dealias):
@@ -87,7 +88,7 @@ def test_carried_samples_match_fields(taus, c1, dealias, seed):
     state = init_state(phi0, symbol, params, dealias=dealias)
     _assert_samples_match(state.phi, state.samples, dealias)
     times = np.concatenate([[0.0], np.cumsum(taus)])
-    state, _ = evolve(state, times, symbol, params, dealias=dealias)
+    state, _ = evolve(state, times, symbol, params)
     _assert_samples_match(state.phi, state.samples, dealias)
     _assert_samples_match(state.phi_prev, state.prev_samples, dealias)
 
@@ -106,8 +107,8 @@ def test_corrected_trajectory_samples_match_fields(T, c1, dealias, seed):
     phi0 = random_field(grid, np.random.default_rng(seed), scale=0.2)
     state = init_state(phi0, symbol, params, dealias=dealias)
     g = cheb_nodes(T, 4)
-    traj = predict(state, g, symbol, params, dealias=dealias)
-    phis = correct(traj, g, integration_matrix(g), symbol, params, dealias=dealias)
-    corrected = _refreeze(state, phis, g, symbol, params, dealias)
+    traj = predict(state, g, symbol, params)
+    phis = correct(traj, g, integration_matrix(g), symbol, params)
+    corrected = _refreeze(state, phis, g, symbol, params)
     for fld, samples in zip(corrected.phis, corrected.samples):
         _assert_samples_match(fld, samples, dealias)

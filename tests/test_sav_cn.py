@@ -13,6 +13,7 @@ from ipfc import (
     norm_ap,
     nprime,
     project_mean,
+    to_physical,
     variational_derivative,
     zeros_field,
 )
@@ -97,12 +98,15 @@ def test_scheme_residual_substitution(bench_1d, rng):
     spec, grid, symbol, params = bench_1d
     for _ in range(5):
         st = init_state(random_field(grid, rng, scale=0.3), symbol, params)
+        phi_prev = random_field(grid, rng, scale=0.3)
         st = StepperState(
             phi=st.phi,
-            phi_prev=random_field(grid, rng, scale=0.3),
+            phi_prev=phi_prev,
             r_dev=st.r_dev,
             sqrt_c1=st.sqrt_c1,
             t=0.0,
+            samples=st.samples,
+            prev_samples=to_physical(phi_prev),
         )
         tau = 10 ** rng.uniform(-3, -0.5)
         st2, rep = cn_step(st, tau, symbol, params)
@@ -138,7 +142,8 @@ def test_local_order_ratio():
         phi_n = rk4_reference(phi_start, 2 * tau, 800, symbol, params)
         st = init_state(phi_n, symbol, params)
         st = StepperState(
-            phi=phi_n, phi_prev=phi_prev, r_dev=st.r_dev, sqrt_c1=st.sqrt_c1, t=0.0
+            phi=phi_n, phi_prev=phi_prev, r_dev=st.r_dev, sqrt_c1=st.sqrt_c1, t=0.0,
+            samples=st.samples, prev_samples=to_physical(phi_prev),
         )
         st2, _ = cn_step(st, step, symbol, params)
         ref = rk4_reference(phi_n, step, 400, symbol, params)

@@ -114,6 +114,9 @@ def test_restep_reproduces_predictor_bitwise(bench_1d, rng):
     g = cheb_nodes(0.05, 8)
     traj = predict(phi0, g, symbol, params)
     rebuilt = _refreeze(init_state(phi0, symbol, params), traj.phis, g, symbol, params)
+    S = integration_matrix(g)
+    for t in (traj, rebuilt):
+        correct(t, g, S, symbol, params)
     np.testing.assert_array_equal(rebuilt.ws, traj.ws)
     np.testing.assert_array_equal(rebuilt.r_devs, traj.r_devs)
     np.testing.assert_array_equal(rebuilt.kappas, traj.kappas)
@@ -322,6 +325,24 @@ def test_sdc_records_match_node_fields(bench_1d, rng, monkeypatch, sweeps, n_t, 
         assert rep.r_value == sqrt_c1 + r_dev
         grad = energy(phi, symbol, params) - bulk_mean(phi, params)
         assert rep.modified_energy == pytest.approx(grad + r_dev * (2 * sqrt_c1 + r_dev), rel=1e-13)
+
+
+@pytest.mark.parametrize("sweeps", [0, 1, 2])
+def test_later_blocks_keep_the_refined_grid(bench_1d, rng, monkeypatch, sweeps):
+    # a later block's initial state is re-sampled from its field; it must
+    # stay on the grid the run's initial state was built with
+    from ipfc.field import to_physical
+
+    spec, grid, symbol, params = bench_1d
+    state0 = init_state(random_field(grid, rng, scale=0.2), symbol, params, dealias=True)
+    built = _block_trajectories(monkeypatch)
+    sdc_solve(state0, 0.05, 6, symbol, params, sweeps=sweeps, block=2)
+    assert len(built) == 3 * (sweeps + 1)
+    for traj in built:
+        for phi, samples in zip(traj.phis, traj.samples):
+            assert samples.factor == 2
+            exact = to_physical(phi, True).values
+            assert np.abs(samples.values - exact).max() <= 1e-13 * np.abs(samples.values).max()
 
 
 def test_sdc_validation(bench_1d, rng, monkeypatch):
