@@ -1,11 +1,11 @@
 """Hot inner-loop kernels, in plain numpy: the bulk polynomial (Horner), the
-conjugate-pair mean, and the Bohr-Fourier raster sum."""
+index mirror and conjugate-pair mean, and the Bohr-Fourier raster sum."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["poly_eval", "hermitian_pair_mean", "bohr_fourier_sum"]
+__all__ = ["poly_eval", "mirrored", "hermitian_pair_mean", "bohr_fourier_sum"]
 
 
 def poly_eval(values: np.ndarray, terms) -> np.ndarray:
@@ -22,8 +22,18 @@ def poly_eval(values: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def hermitian_pair_mean(flat: np.ndarray, neg_perm: np.ndarray) -> np.ndarray:
-    return 0.5 * (flat + np.conj(flat[neg_perm]))
+def mirrored(x: np.ndarray, axes=None) -> np.ndarray:
+    """Copy of x with position p of each of `axes` (all by default) moved to
+    -p mod N: position 0 stays, the rest reverse."""
+    axes = tuple(range(x.ndim)) if axes is None else tuple(axes)
+    if not axes:
+        return x.copy()
+    return np.roll(np.flip(x, axes), 1, axes)
+
+
+def hermitian_pair_mean(x: np.ndarray) -> np.ndarray:
+    """(x + conj(x mirrored on every axis)) / 2."""
+    return 0.5 * (x + np.conj(mirrored(x)))
 
 
 def bohr_fourier_sum(

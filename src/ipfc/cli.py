@@ -13,6 +13,7 @@ import sys
 from .errors import ConfigError, NumericalError
 from .field import load_field
 from .harness import (
+    _output_dir,
     parse_config,
     render_field,
     run_convergence,
@@ -36,6 +37,12 @@ def _load_dump(cfg, base_dir: str, dump_path: str):
     with open(dump_path, "r", encoding="utf-8") as fh:
         fld = load_field(fh, grid)
     return spec, grid, fld
+
+
+def _dump_output_path(cfg, base_dir: str, dump_path: str, suffix: str) -> str:
+    """Output file named after the dump, in the config's output directory."""
+    stem = os.path.splitext(os.path.basename(dump_path))[0]
+    return os.path.join(_output_dir(cfg, base_dir), stem + suffix)
 
 
 def _cmd_evolve(args) -> int:
@@ -72,10 +79,7 @@ def _cmd_render(args) -> int:
     img = render_field(
         fld, spec, grid, cfg.render.window, cfg.render.resolution, cfg.render.floor_rel
     )
-    out_dir = os.path.join(base, cfg.output.dir)
-    os.makedirs(out_dir, exist_ok=True)
-    stem = os.path.splitext(os.path.basename(args.dump))[0]
-    path = os.path.join(out_dir, stem + ".pgm")
+    path = _dump_output_path(cfg, base, args.dump, ".pgm")
     write_pgm(path, img)
     print(f"raster: {path}")
     return 0
@@ -85,10 +89,7 @@ def _cmd_spectrum(args) -> int:
     cfg, base = _load_config(args.config)
     spec, grid, fld = _load_dump(cfg, base, args.dump)
     kxy, amps, verdict = spectrum_report(fld, grid, cfg.spectrum.threshold_rel)
-    out_dir = os.path.join(base, cfg.output.dir)
-    os.makedirs(out_dir, exist_ok=True)
-    stem = os.path.splitext(os.path.basename(args.dump))[0]
-    path = os.path.join(out_dir, stem + "_spectrum.csv")
+    path = _dump_output_path(cfg, base, args.dump, "_spectrum.csv")
     write_spectrum_csv(path, kxy, amps)
     print(f"spectrum: {path}")
     print(f"verdict: {verdict} ({len(amps)} peaks)")

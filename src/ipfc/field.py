@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import hermitian_pair_mean, poly_eval
+from ._kernels import hermitian_pair_mean, mirrored, poly_eval
 from .errors import GridMismatchError
 from .lattice import IndexGrid, OperatorSymbol
 
@@ -137,11 +137,11 @@ def field_from_coeffs(grid: IndexGrid, coeffs) -> SpectralField:
     """Field of full-layout coefficients, folded onto the half layout: each
     stored mode takes the pair mean (c_h + conj(c_-h)) / 2 with its mod-N
     mirror, and modes that are not live are zeroed (see
-    `enforce_hermitian`).  Allocates one half-layout array."""
+    `enforce_hermitian`).  Allocates a mirrored full-layout copy and one
+    half-layout array."""
     full = np.asarray(coeffs, dtype=np.complex128).reshape(grid.sizes)
     h = grid.half_sizes[-1]
-    half = full.ravel()[grid.neg_flat.reshape(grid.sizes)[..., :h]]  # the mirrors
-    np.conj(half, out=half)
+    half = np.conj(mirrored(full)[..., :h])
     half += full[..., :h]
     half *= 0.5
     if not grid.all_live:
@@ -163,8 +163,7 @@ def enforce_hermitian(f: SpectralField) -> SpectralField:
     grid = f.grid
     out = f.half.copy()
     for col in (0, -1):
-        plane = np.ascontiguousarray(out[..., col]).ravel()
-        out[..., col] = hermitian_pair_mean(plane, grid.plane_neg).reshape(grid.sizes[:-1])
+        out[..., col] = hermitian_pair_mean(out[..., col])
     if not grid.all_live:
         out *= grid.live_mask
     return SpectralField(grid, out)
@@ -176,8 +175,8 @@ def hermitian_violation(f: SpectralField) -> float:
     are not live."""
     worst = 0.0
     for col in (0, -1):
-        plane = f.half[..., col].ravel()
-        worst = max(worst, float(np.abs(plane - np.conj(plane[f.grid.plane_neg])).max()))
+        plane = f.half[..., col]
+        worst = max(worst, float(np.abs(plane - np.conj(mirrored(plane))).max()))
     if not f.grid.all_live:
         worst = max(worst, float(np.abs(f.half[~f.grid.live_mask]).max()))
     return worst
@@ -349,7 +348,7 @@ def dump_field(f: SpectralField, fileobj) -> None:
     fileobj.write(f"ipfc-field v1 n={n} sizes={sizes}\n")
     flat = f.coeffs.ravel()
     keep = np.flatnonzero(np.abs(flat) > DUMP_THRESHOLD)
-    cols = [c.tolist() for c in grid.h_matrix[keep].T] + [
+    cols = [c.tolist() for c in grid.modes(keep).T] + [
         flat[keep].real.tolist(),
         flat[keep].imag.tolist(),
     ]

@@ -464,22 +464,23 @@ def ring_star_modes(
     the resulting field stays real; it is the knob that breaks exact
     rotational degeneracy when the relaxed state must pick an orientation.
     """
-    kabs = np.sqrt((grid.kvec**2).sum(axis=1))
+    kabs = np.sqrt(grid.unfold(grid.ksq).ravel())  # exact on live modes
     sel = np.zeros(grid.total, dtype=bool)
     for r in radii:
         sel |= np.abs(kabs - float(r)) <= tol
     sel[grid.zero_index] = False
     sel &= grid.unfold(grid.live_mask).ravel()
     flats = np.flatnonzero(sel)
-    pair_keys = sorted({int(min(i, grid.neg_flat[i])) for i in flats})
+    pos = np.unravel_index(flats, grid.sizes)
+    mirrors = np.ravel_multi_index(tuple(-p % nj for p, nj in zip(pos, grid.sizes)), grid.sizes)
+    pairs = sorted({(int(min(i, m)), int(max(i, m))) for i, m in zip(flats, mirrors)})
     rng = np.random.default_rng(seed)
     modes: List[Tuple[Tuple[int, ...], float, float]] = []
-    for key in pair_keys:
+    for key, partner in pairs:
         amp = amplitude * (1.0 + jitter * (2.0 * rng.random() - 1.0)) if jitter else amplitude
-        partner = int(grid.neg_flat[key])
-        modes.append((tuple(int(v) for v in grid.h_matrix[key]), amp, 0.0))
+        modes.append((tuple(grid.modes(key).tolist()), amp, 0.0))
         if partner != key:
-            modes.append((tuple(int(v) for v in grid.h_matrix[partner]), amp, 0.0))
+            modes.append((tuple(grid.modes(partner).tolist()), amp, 0.0))
     return modes
 
 
@@ -504,7 +505,8 @@ def banded_noise_field(
     """
     rng = np.random.default_rng(seed)
     c = scale * (rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes))
-    return project_mean(field_from_coeffs(grid, c * (symbol.g2 <= g2_max)))
+    noise = field_from_coeffs(grid, c).half * (symbol.g2_half <= g2_max)
+    return project_mean(SpectralField(grid, noise))
 
 
 def build_initial(cfg: ExperimentConfig, grid: IndexGrid, base_dir: str = ".") -> SpectralField:
@@ -579,9 +581,9 @@ def spectrum_report(fld: SpectralField, grid: IndexGrid, threshold_rel: float):
     mx = float(flat.max()) if flat.size else 0.0
     if mx <= 0.0:
         raise ValueError("empty spectrum: the field is identically zero")
-    mask = flat > threshold_rel * mx
-    kv = grid.kvec[mask]
-    amps = flat[mask]
+    keep = np.flatnonzero(flat > threshold_rel * mx)
+    kv = grid.wavevectors(keep)
+    amps = flat[keep]
     d = kv.shape[1]
     if d == 1:
         kxy = np.column_stack([kv[:, 0], np.zeros(kv.shape[0])])

@@ -5,6 +5,10 @@ an n-dimensional integer lattice (n >= d); mode h carries the physical
 wavevector k_h = P @ B @ h.  With d = n and P = B = I this reduces to a plain
 periodic spectral grid, so periodic and quasiperiodic structures share one
 code path.
+
+Grids and symbols hold only the half layout in which real fields are stored
+(see `IndexGrid`); integer modes and wavevectors are computed for the
+positions a caller reads.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import bohr_fourier_sum
+from ._kernels import bohr_fourier_sum, mirrored
 
 __all__ = [
     "ProjectionSpec",
@@ -84,25 +88,49 @@ class IndexGrid:
     axis keeps its first N/2 + 1 positions, whose last one holds the mode
     -N/2.  Every other mode is the conjugate of its mirror -h (mod N), which
     the half holds.  The last-axis planes 0 and -N/2 pair with themselves.
-    `h_matrix`, `kvec` and `neg_flat` describe the full layout, `ksq` and
-    `live_mask` the half one.
+    The grid stores only half-layout arrays (`ksq`, `live_mask`); `modes`
+    and `wavevectors` compute full-layout data for the positions a caller
+    asks for, and `unfold` expands half-layout values.
     """
 
     spec: ProjectionSpec
     sizes: tuple
-    half_sizes: tuple
-    total: int
-    axis_indices: tuple
-    h_matrix: np.ndarray  # (total, n) integer modes, flat order
-    kvec: np.ndarray      # (total, d) projected wavevectors
-    ksq: np.ndarray       # |k_h|^2 in the half layout
-    neg_flat: np.ndarray  # flat position of -h (mod N), an involution
-    plane_neg: np.ndarray  # the same on the leading axes of a self-paired plane
-    live_mask: np.ndarray  # modes whose mod-N mirror carries the same |k|^2
-    all_live: bool
+    half_sizes: tuple = field(init=False)
+    total: int = field(init=False)
+    ksq: np.ndarray = field(init=False)  # |k_h|^2 in the half layout
+    live_mask: np.ndarray = field(init=False)  # modes whose mod-N mirror carries the same |k|^2
+    all_live: bool = field(init=False)
 
     #: flat index of the zero mode, in either layout
-    zero_index: int = field(default=0)
+    zero_index: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        self.half_sizes = self.sizes[:-1] + (self.sizes[-1] // 2 + 1,)
+        self.total = int(np.prod(self.sizes))
+        ksq = (self.wavevectors(np.arange(self.total)) ** 2).sum(axis=1).reshape(self.sizes)
+        # Realness pairs mode h with -h mod N.  On the unmatched -N_j/2
+        # planes the mod-N mirror is not the true mirror; when the projection
+        # makes their |k|^2 differ, diagonal symbols would break conjugate
+        # symmetry, so such modes carry no content.  (Interior modes negate
+        # exactly; plain periodic grids keep every mode.)
+        live = ksq == mirrored(ksq)
+        h = self.half_sizes[-1]
+        self.ksq = np.ascontiguousarray(ksq[..., :h])
+        self.live_mask = np.ascontiguousarray(live[..., :h])
+        self.all_live = bool(live.all())
+
+    def modes(self, flat) -> np.ndarray:
+        """Integer modes h (one row per position) at full-layout flat
+        positions."""
+        pos = np.unravel_index(flat, self.sizes)
+        out = np.empty(np.shape(flat) + (len(self.sizes),), dtype=np.intp)
+        for j, (p, nj) in enumerate(zip(pos, self.sizes)):
+            out[..., j] = np.fft.ifftshift(np.arange(-(nj // 2), nj // 2))[p]  # FFT order
+        return out
+
+    def wavevectors(self, flat) -> np.ndarray:
+        """Projected wavevectors k_h = P B h at full-layout flat positions."""
+        return self.modes(flat) @ self.spec.projected_basis.T
 
     def flat_index(self, h) -> int:
         h = np.asarray(h, dtype=int)
@@ -121,8 +149,8 @@ class IndexGrid:
         full = np.empty(self.sizes, dtype=half.dtype)
         h = self.half_sizes[-1]
         full[..., :h] = half
-        mirror = full.ravel()[self.neg_flat.reshape(self.sizes)[..., h:]]
-        full[..., h:] = np.conj(mirror)
+        # last-axis positions h .. N - 1 mirror to h - 2 .. 1
+        full[..., h:] = np.conj(mirrored(half[..., h - 2 : 0 : -1], range(half.ndim - 1)))
         full.setflags(write=False)
         return full
 
@@ -130,7 +158,7 @@ class IndexGrid:
 @dataclass(eq=False)
 class OperatorSymbol:
     """Diagonal symbol of the multi-length-scale operator and of its square,
-    stored in the half layout.
+    stored in the half layout (`grid.unfold` gives the full layout).
 
     g[h] = prod_j (q_j^2 - |k_h|^2) is real by construction; g2 = g**2.
     """
@@ -139,16 +167,6 @@ class OperatorSymbol:
     q: tuple
     g_half: np.ndarray
     g2_half: np.ndarray
-
-    @property
-    def g(self) -> np.ndarray:
-        """Full-layout view of the symbol."""
-        return self.grid.unfold(self.g_half)
-
-    @property
-    def g2(self) -> np.ndarray:
-        """Full-layout view of the squared symbol."""
-        return self.grid.unfold(self.g2_half)
 
 
 def _injectivity_violation(spec: ProjectionSpec, sizes, tol: float):
@@ -216,45 +234,7 @@ def build_grid(spec: ProjectionSpec, sizes, injectivity_tol: float = INJECTIVITY
             f"{tuple(h1)} and {tuple(h2)} project {dist:.3e} apart"
         )
 
-    axis_indices = tuple(
-        np.concatenate([np.arange(0, nj // 2), np.arange(-(nj // 2), 0)]) for nj in sizes
-    )
-    mesh = np.meshgrid(*axis_indices, indexing="ij")
-    h_matrix = np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
-    kvec = h_matrix @ spec.projected_basis.T
-    kvec = np.ascontiguousarray(np.atleast_2d(kvec.reshape(-1, spec.d)), dtype=float)
-    ksq = (kvec**2).sum(axis=1).reshape(sizes)
-
-    neg_pos = [(-np.arange(nj)) % nj for nj in sizes]
-    neg_mesh = np.meshgrid(*neg_pos, indexing="ij")
-    neg_flat = np.ravel_multi_index(tuple(neg_mesh), sizes).ravel().astype(np.int64)
-    # On the plane of last-axis position 0, the mirror of flat position
-    # p * N is (neg p) * N.
-    plane_neg = np.ravel(neg_flat.reshape(sizes)[..., 0] // sizes[-1])
-
-    # Realness pairs mode h with -h mod N.  On the unmatched -N_j/2 planes
-    # the mod-N mirror is not the true mirror; when the projection makes
-    # their |k|^2 differ, diagonal symbols would break conjugate symmetry,
-    # so such modes carry no content.  (Interior modes negate exactly; plain
-    # periodic grids keep every mode.)
-    ksq_flat = ksq.ravel()
-    live_mask = (ksq_flat == ksq_flat[neg_flat]).reshape(sizes)
-
-    h = sizes[-1] // 2 + 1
-    return IndexGrid(
-        spec=spec,
-        sizes=sizes,
-        half_sizes=sizes[:-1] + (h,),
-        total=int(np.prod(sizes)),
-        axis_indices=axis_indices,
-        h_matrix=h_matrix,
-        kvec=kvec,
-        ksq=np.ascontiguousarray(ksq[..., :h]),
-        neg_flat=neg_flat,
-        plane_neg=plane_neg,
-        live_mask=np.ascontiguousarray(live_mask[..., :h]),
-        all_live=bool(live_mask.all()),
-    )
+    return IndexGrid(spec=spec, sizes=sizes)
 
 
 def build_symbol(spec: ProjectionSpec, grid: IndexGrid, q) -> OperatorSymbol:
@@ -305,12 +285,12 @@ def sample_real_space(
         raise ValueError("resolution entries must be >= 1")
 
     flat = fld.coeffs.ravel()
-    mask = np.abs(flat) > amplitude_floor
-    if not mask.any():
+    keep = np.flatnonzero(np.abs(flat) > amplitude_floor)
+    if not keep.size:
         return np.zeros(resolution)
-    kv = grid.kvec[mask]
-    coeffs = flat[mask]
-    del flat, mask  # a full-layout copy, not needed while the chunks run
+    kv = grid.wavevectors(keep)
+    coeffs = flat[keep]
+    del flat, keep  # a full-layout copy, not needed while the chunks run
 
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(window, resolution)]
     lead = int(np.prod(resolution[:-1]))

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BulkPositivityError, NumericalError
+from .errors import NumericalError
 from .field import (
     PhysicalField,
     SpectralField,
@@ -38,7 +38,7 @@ from .field import (
     to_physical,
 )
 from .lattice import OperatorSymbol
-from .model import ModelParams, bulk_mean_of_samples, sav_ingredients, sqrt_f1_deviation
+from .model import ModelParams, _shifted_bulk, bulk_mean_of_samples, sav_ingredients, sqrt_f1_deviation
 
 __all__ = [
     "StepperState",
@@ -103,10 +103,7 @@ def init_state(
         raise ValueError("initial field must have zero mean")
     samples = to_physical(phi0, dealias)
     nu = bulk_mean_of_samples(samples, params)
-    if not nu + params.c1 > 0.0:
-        raise BulkPositivityError(
-            f"shifted bulk energy {nu + params.c1:.6e} is not positive; increase c1"
-        )
+    _shifted_bulk(nu, params)  # raises unless the shifted bulk energy is positive
     return StepperState(
         phi=phi0,
         phi_prev=None,

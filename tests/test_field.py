@@ -23,6 +23,7 @@ from ipfc import (
     to_spectral,
     zeros_field,
 )
+from ipfc._kernels import mirrored
 
 from conftest import cosine_field, grid_1d, random_field
 
@@ -37,7 +38,7 @@ def brute_convolution_power(grid, coeffs, power):
     """
     flat = coeffs.ravel()
     out = np.zeros_like(flat)
-    idx = [grid.h_matrix[i] for i in range(grid.total)]
+    idx = grid.modes(np.arange(grid.total))
 
     def in_range(h):
         return all(-nj // 2 <= hj <= nj // 2 - 1 for hj, nj in zip(h, grid.sizes))
@@ -50,8 +51,8 @@ def brute_convolution_power(grid, coeffs, power):
         if in_range(h):
             val = np.prod([flat[i] for i in combo])
             out[grid.flat_index(h)] += val
-    out = 0.5 * (out + np.conj(out[grid.neg_flat]))
-    return out.reshape(grid.sizes)
+    out = out.reshape(grid.sizes)
+    return 0.5 * (out + np.conj(mirrored(out)))
 
 
 # -- transforms ---------------------------------------------------------------

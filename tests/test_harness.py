@@ -118,7 +118,7 @@ def test_ring_star_dodecagonal_two_circles():
     modes = ring_star_modes(grid, (1.0, q2), 0.3)
     assert len(modes) == 24
     # hermitian closure and the two radii
-    norms = [np.linalg.norm(grid.kvec[grid.flat_index(h)]) for h, _, _ in modes]
+    norms = [np.linalg.norm(grid.wavevectors(grid.flat_index(h))) for h, _, _ in modes]
     radii = sorted({round(float(k), 6) for k in norms})
     assert radii == [1.0, round(q2, 6)]
     hs = {h for h, _, _ in modes}
@@ -208,12 +208,13 @@ def test_spectrum_zero_field_errors():
 def test_spectrum_hexagonal_star_six_fold():
     spec_cfg = parse_config(DDQC_HEAD)
     grid = spec_cfg.build_grid()
-    ang = np.degrees(np.arctan2(grid.kvec[:, 1], grid.kvec[:, 0]))
-    kabs = np.sqrt((grid.kvec**2).sum(axis=1))
+    kvec = grid.wavevectors(np.arange(grid.total))
+    ang = np.degrees(np.arctan2(kvec[:, 1], kvec[:, 0]))
+    kabs = np.sqrt((kvec**2).sum(axis=1))
     on = (np.abs(kabs - 1.0) < 1e-8) & (
         np.isclose(ang % 60.0, 0.0, atol=1e-6) | np.isclose(ang % 60.0, 60.0, atol=1e-6)
     )
-    modes = [(tuple(int(v) for v in grid.h_matrix[i]), 0.3, 0.0) for i in np.flatnonzero(on)]
+    modes = [(tuple(grid.modes(i).tolist()), 0.3, 0.0) for i in np.flatnonzero(on)]
     assert len(modes) == 6
     f = field_from_modes(grid, modes)
     _, amps, verdict = spectrum_report(f, grid, 0.1)
@@ -228,7 +229,7 @@ def test_spectrum_invariant_under_translation():
     q2 = 2 * np.cos(np.pi / 12)
     f = field_from_modes(grid, ring_star_modes(grid, (1.0, q2), 0.3))
     shift = np.array([0.37, -1.21])
-    phases = np.exp(-1j * grid.kvec @ shift)
+    phases = np.exp(-1j * grid.wavevectors(np.arange(grid.total)) @ shift)
     g = field_from_coeffs(grid, f.coeffs.ravel() * phases)
     _, _, v1 = spectrum_report(f, grid, 0.1)
     _, _, v2 = spectrum_report(g, grid, 0.1)

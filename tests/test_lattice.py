@@ -11,7 +11,7 @@ from ipfc import (
     sample_real_space,
     zeros_field,
 )
-from ipfc._kernels import bohr_fourier_sum
+from ipfc._kernels import bohr_fourier_sum, mirrored
 from ipfc.harness import dodecagonal_projection
 
 from conftest import cosine_field, grid_1d, random_field
@@ -19,17 +19,17 @@ from conftest import cosine_field, grid_1d, random_field
 
 def test_grid_indices_small():
     spec, grid = grid_1d(4)
-    assert set(int(h) for h in grid.h_matrix[:, 0]) == {-2, -1, 0, 1}
+    assert set(int(h) for h in grid.modes(np.arange(grid.total))[:, 0]) == {-2, -1, 0, 1}
     assert grid.total == 4
     # zero mode sits at flat index 0
     assert grid.zero_index == 0
-    assert tuple(grid.h_matrix[0]) == (0,)
+    assert tuple(grid.modes(0)) == (0,)
 
 
 def test_flat_index_round_trip():
     spec, grid = grid_1d(8)
     for flat in range(grid.total):
-        h = grid.h_matrix[flat]
+        h = grid.modes(flat)
         assert grid.flat_index(h) == flat
     with pytest.raises(ValueError):
         grid.flat_index([4])  # +N/2 is not retained
@@ -112,14 +112,69 @@ def test_dodecagonal_grid_mode_count():
     assert grid.total == 331776  # 24**4
 
 
+def _full_table_reference(spec, sizes):
+    """Integer modes, wavevectors, |k|^2 and the live mask built as full
+    flat-order tables, the way the grid was built before it stored only
+    the half layout."""
+    axis_indices = [np.concatenate([np.arange(0, nj // 2), np.arange(-(nj // 2), 0)]) for nj in sizes]
+    mesh = np.meshgrid(*axis_indices, indexing="ij")
+    h_matrix = np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
+    kvec = h_matrix @ spec.projected_basis.T
+    ksq = (kvec**2).sum(axis=1).reshape(sizes)
+    neg_mesh = np.meshgrid(*[(-np.arange(nj)) % nj for nj in sizes], indexing="ij")
+    neg_flat = np.ravel_multi_index(tuple(neg_mesh), sizes).ravel()
+    live = (ksq.ravel() == ksq.ravel()[neg_flat]).reshape(sizes)
+    return h_matrix, kvec, ksq, live
+
+
+@pytest.mark.parametrize(
+    "dodecagonal, sizes",
+    [(False, (8,)), (False, (6, 6)), (True, (8,) * 4), (True, (16,) * 4), (True, (24,) * 4)],
+)
+def test_half_layout_matches_full_tables(dodecagonal, sizes):
+    if dodecagonal:
+        spec = ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4))
+    else:
+        spec = ProjectionSpec.identity(len(sizes))
+    grid = build_grid(spec, sizes)
+    h_matrix, kvec, ksq, live = _full_table_reference(spec, grid.sizes)
+    h = grid.half_sizes[-1]
+    assert np.array_equal(grid.ksq.view(np.uint64), ksq[..., :h].view(np.uint64))
+    assert np.array_equal(grid.live_mask, live[..., :h])
+    assert grid.all_live == bool(live.all())
+    # wavevectors of any subset of positions are the table's rows, bitwise
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        sel = np.sort(rng.choice(grid.total, size=int(rng.integers(1, grid.total + 1)), replace=False))
+        assert np.array_equal(grid.wavevectors(sel).view(np.uint64), kvec[sel].view(np.uint64))
+    if grid.total <= 8**4:
+        every = np.arange(grid.total)
+        np.testing.assert_array_equal(grid.modes(every), h_matrix)
+        assert [grid.flat_index(m) for m in grid.modes(every)] == list(every)
+
+
+def test_grid_holds_only_half_layout_arrays():
+    # full-layout tables (modes, wavevectors, mirror permutations) would
+    # take about 18 MiB here; the grid keeps |k|^2 and the live mask
+    spec = ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4))
+    grid = build_grid(spec, (24, 24, 24, 24))
+    held = 0
+    for value in vars(grid).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                held += item.nbytes
+    assert held <= grid.ksq.nbytes + grid.live_mask.nbytes + 4096
+
+
 def test_wavevector_identity_and_projection(dodecagonal_small):
     spec, grid = grid_1d(8)
-    assert grid.kvec[grid.flat_index([3])] == pytest.approx(3.0)
+    assert grid.wavevectors(grid.flat_index([3])) == pytest.approx(3.0)
 
     spec4, grid4 = dodecagonal_small
-    np.testing.assert_allclose(grid4.kvec[grid4.flat_index([1, 0, 0, 0])], [1.0, 0.0], atol=1e-15)
+    k = grid4.wavevectors([grid4.flat_index([1, 0, 0, 0]), grid4.flat_index([0, 1, 0, 0])])
+    np.testing.assert_allclose(k[0], [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(
-        grid4.kvec[grid4.flat_index([0, 1, 0, 0])],
+        k[1],
         [np.cos(np.pi / 6), np.sin(np.pi / 6)],
         atol=1e-15,
     )
@@ -130,34 +185,36 @@ def test_wavevector_negation_exact(dodecagonal_small):
     rng = np.random.default_rng(3)
     for _ in range(50):
         h = rng.integers(-3, 4, size=4)
-        assert np.array_equal(grid.kvec[grid.flat_index(-h)], -grid.kvec[grid.flat_index(h)])
+        k = grid.wavevectors([grid.flat_index(-h), grid.flat_index(h)])
+        assert np.array_equal(k[0], -k[1])
 
 
 def test_symbol_values_1d():
     spec, grid = grid_1d(8)
     sym = build_symbol(spec, grid, (np.sqrt(2.0), np.sqrt(3.0)))
-    flat_g = sym.g.ravel()
-    assert flat_g[grid.flat_index([1])] == pytest.approx((2 - 1) * (3 - 1))
-    assert flat_g[grid.flat_index([0])] == pytest.approx(6.0)
-    np.testing.assert_array_equal(sym.g2, sym.g * sym.g)
+    g = grid.unfold(sym.g_half)
+    assert g[grid.flat_index([1])] == pytest.approx((2 - 1) * (3 - 1))
+    assert g[grid.flat_index([0])] == pytest.approx(6.0)
+    np.testing.assert_array_equal(grid.unfold(sym.g2_half), g * g)
 
 
 def test_symbol_root_mode():
     # B = sqrt(2) puts mode h=1 exactly on the first ring
     spec, grid = grid_1d(8, b=np.sqrt(2.0))
     sym = build_symbol(spec, grid, (np.sqrt(2.0), np.sqrt(3.0)))
-    assert abs(sym.g.ravel()[grid.flat_index([1])]) < 1e-14
+    assert abs(grid.unfold(sym.g_half)[grid.flat_index([1])]) < 1e-14
 
 
 def test_symbol_even_on_live_modes(dodecagonal_small):
     spec, grid = dodecagonal_small
     sym = build_symbol(spec, grid, (1.0, 2 * np.cos(np.pi / 12)))
     # the full view agrees with the symbol of every live mode's own |k|^2
-    ksq = (grid.kvec**2).sum(axis=1)
+    ksq = (grid.wavevectors(np.arange(grid.total)) ** 2).sum(axis=1)
     want = (1.0 - ksq) * ((2 * np.cos(np.pi / 12)) ** 2 - ksq)
     live = grid.unfold(grid.live_mask).ravel()
-    assert np.array_equal(sym.g.ravel()[live], want[live])
-    assert np.array_equal(sym.g.ravel()[grid.neg_flat][live], want[live])
+    g = grid.unfold(sym.g_half)
+    assert np.array_equal(g.ravel()[live], want[live])
+    assert np.array_equal(mirrored(g).ravel()[live], want[live])
 
 
 def test_symbol_rejects_bad_scales():
@@ -171,7 +228,8 @@ def test_symbol_rejects_bad_scales():
 def test_periodic_identity_reduction():
     spec = ProjectionSpec.identity(2)
     grid = build_grid(spec, (6, 6))
-    np.testing.assert_array_equal(grid.kvec, grid.h_matrix.astype(float))
+    every = np.arange(grid.total)
+    np.testing.assert_array_equal(grid.wavevectors(every), grid.modes(every).astype(float))
     assert grid.all_live
 
 
@@ -226,7 +284,8 @@ def _direct_raster(grid, fld, window, resolution, floor):
     mask = np.abs(flat) > floor
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(window, resolution)]
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    vals = bohr_fourier_sum(grid.kvec[mask], flat[mask].real, flat[mask].imag, pts)
+    k = grid.wavevectors(np.flatnonzero(mask))
+    vals = bohr_fourier_sum(k, flat[mask].real, flat[mask].imag, pts)
     return vals.reshape(resolution), float(np.abs(flat[mask]).sum())
 
 

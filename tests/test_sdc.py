@@ -150,7 +150,7 @@ def test_correct_linear_diagonal_oracle():
     traj = predict(phi0, g, symbol, params)
     out = correct(traj, g, S, symbol, params)
 
-    rate = symbol.g2.ravel() + params.eps
+    rate = grid.unfold(symbol.g2_half).ravel() + params.eps
     exact = phi0.coeffs.ravel() * np.exp(-rate * T)
     exact_scale = np.abs(exact).max()
     err_one = np.abs(out[-1].coeffs.ravel() - exact).max()
