@@ -30,8 +30,6 @@ from .field import (
 )
 from .model import (
     ModelParams,
-    bulk_density,
-    bulk_energy_f1,
     bulk_mean,
     energy,
     nprime,

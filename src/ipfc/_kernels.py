@@ -41,11 +41,7 @@ def bohr_fourier_sum(
 ) -> np.ndarray:
     """Re sum_m (coeff_re[m] + i coeff_im[m]) exp(i kvecs[m] . points[p]) at
     every point p.  The coefficient arrays are (modes,) or (modes, columns);
-    each column is summed on its own, giving (points,) or (points, columns)."""
-    # Chunked so the (points x modes) phase matrix stays modest.
-    out = np.empty((points.shape[0],) + coeff_re.shape[1:])
-    chunk = 8192
-    for start in range(0, points.shape[0], chunk):
-        phase = points[start : start + chunk] @ kvecs.T
-        out[start : start + chunk] = np.cos(phase) @ coeff_re - np.sin(phase) @ coeff_im
-    return out
+    each column is summed on its own, giving (points,) or (points, columns).
+    Builds the whole (points x modes) phase matrix; callers bound its size."""
+    phase = points @ kvecs.T
+    return np.cos(phase) @ coeff_re - np.sin(phase) @ coeff_im

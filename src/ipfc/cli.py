@@ -13,6 +13,7 @@ import sys
 from .errors import ConfigError, NumericalError
 from .field import load_field
 from .harness import (
+    RATES_HEADER,
     _output_dir,
     parse_config,
     render_field,
@@ -31,12 +32,10 @@ def _load_config(path: str):
     return cfg, os.path.dirname(os.path.abspath(path))
 
 
-def _load_dump(cfg, base_dir: str, dump_path: str):
-    spec = cfg.build_spec()
-    grid = cfg.build_grid(spec)
+def _load_dump(cfg, dump_path: str):
+    grid = cfg.build_grid()
     with open(dump_path, "r", encoding="utf-8") as fh:
-        fld = load_field(fh, grid)
-    return spec, grid, fld
+        return load_field(fh, grid)
 
 
 def _dump_output_path(cfg, base_dir: str, dump_path: str, suffix: str) -> str:
@@ -57,7 +56,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_converge(args) -> int:
     cfg, base = _load_config(args.config)
     rows = run_convergence(cfg, base)
-    print("scheme,NT,error,rate")
+    print(RATES_HEADER)
     for row in rows:
         rate = "" if row["rate"] is None else f"{row['rate']:.3f}"
         print(f"{row['scheme']},{row['nt']},{row['error']:.6e},{rate}")
@@ -75,10 +74,8 @@ def _cmd_render(args) -> int:
     cfg, base = _load_config(args.config)
     if cfg.render is None:
         raise ConfigError("missing required section [render]")
-    spec, grid, fld = _load_dump(cfg, base, args.dump)
-    img = render_field(
-        fld, spec, grid, cfg.render.window, cfg.render.resolution, cfg.render.floor_rel
-    )
+    fld = _load_dump(cfg, args.dump)
+    img = render_field(fld, cfg.render.window, cfg.render.resolution, cfg.render.floor_rel)
     path = _dump_output_path(cfg, base, args.dump, ".pgm")
     write_pgm(path, img)
     print(f"raster: {path}")
@@ -87,8 +84,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg, base = _load_config(args.config)
-    spec, grid, fld = _load_dump(cfg, base, args.dump)
-    kxy, amps, verdict = spectrum_report(fld, grid, cfg.spectrum.threshold_rel)
+    fld = _load_dump(cfg, args.dump)
+    kxy, amps, verdict = spectrum_report(fld, cfg.spectrum.threshold_rel)
     path = _dump_output_path(cfg, base, args.dump, "_spectrum.csv")
     write_spectrum_csv(path, kxy, amps)
     print(f"spectrum: {path}")

@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 DUMP_THRESHOLD = 1e-14
+# Refinement per axis of the dealiasing grid: products are exact truncated
+# convolutions through total degree PAD_FACTOR + 1, the cubic N'.
+PAD_FACTOR = 2
 
 
 @dataclass(eq=False)
@@ -208,11 +211,11 @@ def norm_ap(f: SpectralField) -> float:
     return float(np.sqrt(max(_coeff_inner(f.half, f.half), 0.0)))
 
 
-def to_physical(f: SpectralField, dealias: bool = False, pad_factor: int = 2) -> PhysicalField:
+def to_physical(f: SpectralField, dealias: bool = False) -> PhysicalField:
     """Inverse real-data transform to collocation values, on the grid
-    refined by `pad_factor` when `dealias` is set."""
+    refined by PAD_FACTOR when `dealias` is set."""
     if dealias:
-        half, factor = _embed_padded(f.half, f.grid.sizes, pad_factor), pad_factor
+        half, factor = _embed_padded(f.half, f.grid.sizes, PAD_FACTOR), PAD_FACTOR
     else:
         half, factor = f.half, 1
     sizes = tuple(factor * nj for nj in f.grid.sizes)
@@ -301,26 +304,23 @@ def poly_samples(p: PhysicalField, terms) -> PhysicalField:
     return PhysicalField(p.grid, poly_eval(p.values, terms), p.factor)
 
 
-def pointwise_poly(
-    f: SpectralField, terms, dealias: bool = False, pad_factor: int = 2
-) -> SpectralField:
+def pointwise_poly(f: SpectralField, terms, dealias: bool = False) -> SpectralField:
     """Polynomial of the field, evaluated pseudospectrally.
 
     `terms` is a sequence of (exponent, coefficient) pairs with exponents in
-    1..4.  With `dealias` the product is formed on a grid padded by
-    `pad_factor`, which makes results exact truncated convolutions for total
-    degree up to pad_factor + 1.  The result is re-symmetrized.
+    1..4.  With `dealias` the product is formed on the grid refined by
+    PAD_FACTOR, which makes results exact truncated convolutions for total
+    degree up to PAD_FACTOR + 1.  The result is re-symmetrized.
     """
     terms = _validate_terms(terms)
-    return samples_to_spectral(poly_samples(to_physical(f, dealias, pad_factor), terms))
+    return samples_to_spectral(poly_samples(to_physical(f, dealias), terms))
 
 
-def pointwise_poly_mean(
-    f: SpectralField, terms, dealias: bool = False, pad_factor: int = 2
-) -> float:
-    """Spatial mean of a pointwise polynomial of the field (its zero mode)."""
+def pointwise_poly_mean(f: SpectralField, terms) -> float:
+    """Spatial mean of a pointwise polynomial of the field (its zero mode),
+    from its samples on the embedding grid."""
     terms = _validate_terms(terms)
-    return float(poly_eval(to_physical(f, dealias, pad_factor).values, terms).mean())
+    return float(poly_eval(to_physical(f).values, terms).mean())
 
 
 # -- diagonal operators --------------------------------------------------------
@@ -374,10 +374,11 @@ def _read_dump(fileobj, grid: IndexGrid):
     order, after checking them; the text is freed on return."""
     header = fileobj.readline().strip()
     parts = header.split()
-    if len(parts) != 4 or parts[0] != "ipfc-field" or parts[1] != "v1":
+    keys = [p.partition("=")[::2] for p in parts[2:]]
+    if parts[:2] != ["ipfc-field", "v1"] or [k for k, _ in keys] != ["n", "sizes"]:
         raise ValueError(f"unrecognized field dump header: {header!r}")
-    n = int(parts[2].split("=", 1)[1])
-    sizes = tuple(int(s) for s in parts[3].split("=", 1)[1].split(","))
+    n = int(keys[0][1])
+    sizes = tuple(int(s) for s in keys[1][1].split(","))
     if n != len(grid.sizes) or sizes != grid.sizes:
         raise ValueError(f"dump grid {sizes} does not match target grid {grid.sizes}")
     lines = fileobj.read().split("\n")
@@ -395,6 +396,10 @@ def _read_dump(fileobj, grid: IndexGrid):
     if len(outside):
         i, j = outside[0]
         raise ValueError(f"mode index {h[i, j]} outside -{half[j]} .. {half[j] - 1}")
+    values = table[:, n:].astype(float)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        line = b" ".join(table[bad[0]]).decode()
+        raise ValueError(f"non-finite value in dump line: {line!r}")
     pos = np.ravel_multi_index(tuple((h % grid.sizes).T), grid.sizes)
-    values = table[:, n:].astype(float).view(np.complex128)[:, 0]
-    return pos, values
+    return pos, values.view(np.complex128)[:, 0]

@@ -247,6 +247,10 @@ class RenderCfg(_Section):
         d = projection.d
         if len(self.window) != 2 * d or len(self.resolution) != d:
             raise ConfigError(f"[render] window needs {2 * d} numbers and resolution {d}")
+        if any(r < 1 for r in self.resolution):
+            raise ConfigError("[render] resolution entries must be >= 1")
+        if not self.floor_rel >= 0:
+            raise ConfigError("[render] floor_rel must be >= 0")
 
 
 @dataclass
@@ -495,14 +499,15 @@ def field_from_modes(grid: IndexGrid, modes) -> SpectralField:
 
 
 def banded_noise_field(
-    grid: IndexGrid, symbol: OperatorSymbol, scale: float, seed: int, g2_max: float = 25.0
+    symbol: OperatorSymbol, scale: float, seed: int, g2_max: float = 25.0
 ) -> SpectralField:
-    """Deterministic conjugate-symmetric noise restricted to the dynamically
-    active shells where the operator symbol is small.
+    """Deterministic conjugate-symmetric noise on the symbol's grid,
+    restricted to the dynamically active shells where the symbol is small.
 
     Strongly damped modes are excluded: the midpoint stepper rings on their
     content instead of removing it, which would swamp the energy diagnostics.
     """
+    grid = symbol.grid
     rng = np.random.default_rng(seed)
     c = scale * (rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes))
     noise = field_from_coeffs(grid, c).half * (symbol.g2_half <= g2_max)
@@ -568,8 +573,9 @@ def _invariant_under(radii, angles, amps, dtheta) -> bool:
     return True
 
 
-def spectrum_report(fld: SpectralField, grid: IndexGrid, threshold_rel: float):
-    """Peaks above threshold_rel * max amplitude and the symmetry verdict.
+def spectrum_report(fld: SpectralField, threshold_rel: float):
+    """Peaks above threshold_rel * max amplitude, at their projected
+    wavevectors, and the symmetry verdict.
 
     Returns (kxy, amps, verdict): kxy is (n, 2) with a zero second column for
     one-dimensional fields, rows sorted lexicographically for deterministic
@@ -582,7 +588,7 @@ def spectrum_report(fld: SpectralField, grid: IndexGrid, threshold_rel: float):
     if mx <= 0.0:
         raise ValueError("empty spectrum: the field is identically zero")
     keep = np.flatnonzero(flat > threshold_rel * mx)
-    kv = grid.wavevectors(keep)
+    kv = fld.grid.wavevectors(keep)
     amps = flat[keep]
     d = kv.shape[1]
     if d == 1:
@@ -605,19 +611,12 @@ def write_spectrum_csv(path: str, kxy: np.ndarray, amps: np.ndarray) -> None:
             fh.write(f"{_fmt_float(kx)},{_fmt_float(ky)},{_fmt_float(a)}\n")
 
 
-def render_field(
-    fld: SpectralField,
-    spec: ProjectionSpec,
-    grid: IndexGrid,
-    window,
-    resolution,
-    floor_rel: float = 1e-8,
-) -> np.ndarray:
+def render_field(fld: SpectralField, window, resolution, floor_rel: float = 1e-8) -> np.ndarray:
     """Grayscale raster of the field over the window: linear map of the
     sampled range onto 0..255, a degenerate range maps to uniform 128."""
     cmax = float(np.abs(fld.half).max())
     floor = floor_rel * cmax
-    raster = sample_real_space(spec, grid, fld, window, resolution, amplitude_floor=floor)
+    raster = sample_real_space(fld, window, resolution, amplitude_floor=floor)
     lo = float(raster.min())
     hi = float(raster.max())
     if hi - lo <= 1e-12 * max(1.0, abs(hi), abs(lo)):
@@ -686,19 +685,18 @@ def _output_dir(cfg: ExperimentConfig, base_dir: str) -> str:
 
 
 def _setup(cfg: ExperimentConfig, base_dir: str):
-    """(spec, grid, params, symbol, phi0) of a config with [model] q and [initial]."""
-    spec = cfg.build_spec()
-    grid = cfg.build_grid(spec)
+    """(params, symbol, phi0) of a config with [model] q and [initial]."""
+    grid = cfg.build_grid()
     params = cfg.build_params()
-    symbol = build_symbol(spec, grid, params.q)
-    return spec, grid, params, symbol, build_initial(cfg, grid, base_dir)
+    symbol = build_symbol(grid.spec, grid, params.q)
+    return params, symbol, build_initial(cfg, grid, base_dir)
 
 
 def run_evolution(cfg: ExperimentConfig, base_dir: str = ".") -> dict:
     """Drive one evolution run: energy CSV, optional dumps and rasters."""
     if cfg.time is None:
         raise ConfigError("missing required section [time]")
-    spec, grid, params, symbol, phi0 = _setup(cfg, base_dir)
+    params, symbol, phi0 = _setup(cfg, base_dir)
     out_dir = _output_dir(cfg, base_dir)
     csv_path = os.path.join(out_dir, cfg.output.energy_csv)
     dumps: List[str] = []
@@ -716,15 +714,13 @@ def run_evolution(cfg: ExperimentConfig, base_dir: str = ".") -> dict:
             dump_field(fld, fh)
         dumps.append(path)
         if cfg.render is not None:
-            img = render_field(
-                fld, spec, grid, cfg.render.window, cfg.render.resolution, cfg.render.floor_rel
-            )
+            img = render_field(fld, cfg.render.window, cfg.render.resolution, cfg.render.floor_rel)
             write_pgm(path[: -len(".field")] + ".pgm", img)
 
     final = _write_energy_csv(
         csv_path, phi0, symbol, params, cfg.model.dealias, cfg.time, on_node=dump
     )
-    return {"csv": csv_path, "dumps": dumps, "final": final, "grid": grid, "spec": spec}
+    return {"csv": csv_path, "dumps": dumps, "final": final}
 
 
 def run_convergence(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
@@ -736,7 +732,7 @@ def run_convergence(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
     """
     if cfg.time is None or cfg.convergence is None:
         raise ConfigError("convergence runs need [time] and [convergence] sections")
-    _, _, params, symbol, phi0 = _setup(cfg, base_dir)
+    params, symbol, phi0 = _setup(cfg, base_dir)
     tcfg = cfg.time
     ccfg = cfg.convergence
 
@@ -789,11 +785,11 @@ def run_scales_study(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
             # orientation tie-breaker: a perfectly symmetric star can freeze
             # in mixed local minima, so the relaxed state never picks an
             # orientation
-            phi0 = phi0 + banded_noise_field(grid, symbol, scfg.noise, scfg.seed)
+            phi0 = phi0 + banded_noise_field(symbol, scfg.noise, scfg.seed)
 
         csv_path = os.path.join(out_dir, f"energy_m{m}.csv")
         final = _write_energy_csv(csv_path, phi0, symbol, params, cfg.model.dealias, cfg.time)
-        kxy, amps, verdict = spectrum_report(final, grid, cfg.spectrum.threshold_rel)
+        kxy, amps, verdict = spectrum_report(final, cfg.spectrum.threshold_rel)
         write_spectrum_csv(os.path.join(out_dir, f"spectrum_m{m}.csv"), kxy, amps)
         results.append(
             {

@@ -251,16 +251,9 @@ def build_symbol(spec: ProjectionSpec, grid: IndexGrid, q) -> OperatorSymbol:
     return OperatorSymbol(grid=grid, q=q, g_half=g, g2_half=g * g)
 
 
-def sample_real_space(
-    spec: ProjectionSpec,
-    grid: IndexGrid,
-    fld,
-    window,
-    resolution,
-    amplitude_floor: float = 0.0,
-) -> np.ndarray:
-    """Evaluate the field on a raster in physical space by a separable
-    Bohr-Fourier sum.
+def sample_real_space(fld, window, resolution, amplitude_floor: float = 0.0) -> np.ndarray:
+    """Evaluate the field on a raster in physical space, over the projection
+    of its grid, by a separable Bohr-Fourier sum.
 
     The projected wavevectors are incommensurate with any d-dimensional
     lattice, so an inverse FFT is not applicable; the raster is filled with
@@ -273,14 +266,14 @@ def sample_real_space(
     inputs; raster[i0, i1, ...] samples axis j at the inclusive linspace of
     window[j].
     """
-    if fld.grid is not grid:
-        raise ValueError("field does not live on the supplied grid")
+    grid = fld.grid
+    d = grid.spec.d
     if amplitude_floor < 0:
         raise ValueError("amplitude_floor must be >= 0")
     window = [(float(lo), float(hi)) for lo, hi in np.reshape(window, (-1, 2))]
     resolution = tuple(int(r) for r in np.atleast_1d(resolution))
-    if len(window) != spec.d or len(resolution) != spec.d:
-        raise ValueError(f"window and resolution must each have {spec.d} axes")
+    if len(window) != d or len(resolution) != d:
+        raise ValueError(f"window and resolution must each have {d} axes")
     if any(r < 1 for r in resolution):
         raise ValueError("resolution entries must be >= 1")
 

@@ -29,10 +29,8 @@ from .lattice import OperatorSymbol
 
 __all__ = [
     "ModelParams",
-    "bulk_density",
     "nprime",
     "bulk_mean",
-    "bulk_energy_f1",
     "energy",
     "variational_derivative",
     "sav_ingredients",
@@ -72,19 +70,16 @@ def _bulk_terms(params: ModelParams):
     return ((2, 0.5 * params.eps), (3, -params.alpha / 3.0), (4, 0.25))
 
 
-def bulk_density(p: PhysicalField, params: ModelParams) -> PhysicalField:
-    """Pointwise bulk energy density of collocation values."""
-    return poly_samples(p, _bulk_terms(params))
+def nprime(f: SpectralField, params: ModelParams) -> SpectralField:
+    """Derivative of the bulk density, eps*phi - alpha*phi^2 + phi^3, from
+    samples on the embedding grid (`nprime_of_samples` takes others)."""
+    return pointwise_poly(f, _nprime_terms(params))
 
 
-def nprime(f: SpectralField, params: ModelParams, dealias: bool = False) -> SpectralField:
-    """Derivative of the bulk density, eps*phi - alpha*phi^2 + phi^3."""
-    return pointwise_poly(f, _nprime_terms(params), dealias=dealias)
-
-
-def bulk_mean(f: SpectralField, params: ModelParams, dealias: bool = False) -> float:
-    """Spatial mean of the bulk density (no shift)."""
-    return pointwise_poly_mean(f, _bulk_terms(params), dealias=dealias)
+def bulk_mean(f: SpectralField, params: ModelParams) -> float:
+    """Spatial mean of the bulk density (no shift), from samples on the
+    embedding grid (`bulk_mean_of_samples` takes others)."""
+    return pointwise_poly_mean(f, _bulk_terms(params))
 
 
 def _shifted_bulk(nu: float, params: ModelParams) -> float:
@@ -96,27 +91,20 @@ def _shifted_bulk(nu: float, params: ModelParams) -> float:
     return value
 
 
-def bulk_energy_f1(f: SpectralField, params: ModelParams, dealias: bool = False) -> float:
-    """Shifted bulk energy; must stay strictly positive for the square root."""
-    return _shifted_bulk(bulk_mean(f, params, dealias=dealias), params)
-
-
-def energy(
-    f: SpectralField, symbol: OperatorSymbol, params: ModelParams, dealias: bool = False
-) -> float:
+def energy(f: SpectralField, symbol: OperatorSymbol, params: ModelParams) -> float:
     """Total free energy, 1/2 ||G phi||^2 + <N(phi), 1> (no shift)."""
     gf = apply_symbol(f, symbol, power=1)
     grad = 0.5 * inner_ap(gf, gf)
     if not grad >= -1e-15:
         raise NumericalError(f"gradient part of the energy is {grad!r}, not nonnegative")
-    return grad + bulk_mean(f, params, dealias=dealias)
+    return grad + bulk_mean(f, params)
 
 
 def variational_derivative(
-    f: SpectralField, symbol: OperatorSymbol, params: ModelParams, dealias: bool = False
+    f: SpectralField, symbol: OperatorSymbol, params: ModelParams
 ) -> SpectralField:
     """G^2 phi + N'(phi), the gradient of the energy."""
-    return apply_symbol(f, symbol, power=2) + nprime(f, params, dealias=dealias)
+    return apply_symbol(f, symbol, power=2) + nprime(f, params)
 
 
 def nprime_of_samples(p: PhysicalField, params: ModelParams) -> SpectralField:
@@ -136,11 +124,12 @@ def bulk_mean_of_samples(p: PhysicalField, params: ModelParams) -> float:
     return float(poly_eval(p.values, _bulk_terms(params)).mean())
 
 
-def sav_ingredients(fbar, params: ModelParams, dealias: bool = False):
+def sav_ingredients(fbar, params: ModelParams):
     """The auxiliary-variable ratio field u = N'(fbar)/sqrt(F1(fbar)) together
-    with sqrt(F1(fbar)).  fbar is a SpectralField or, saving its inverse
-    transform, its samples (a PhysicalField, whose grid replaces `dealias`)."""
-    p = fbar if isinstance(fbar, PhysicalField) else to_physical(fbar, dealias)
+    with sqrt(F1(fbar)).  fbar is a SpectralField, sampled on the embedding
+    grid, or its samples (a PhysicalField, on either grid), which saves the
+    inverse transform."""
+    p = fbar if isinstance(fbar, PhysicalField) else to_physical(fbar)
     sqrt_f1 = float(np.sqrt(_shifted_bulk(bulk_mean_of_samples(p, params), params)))
     return nprime_of_samples(p, params) / sqrt_f1, sqrt_f1
 

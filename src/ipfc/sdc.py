@@ -168,13 +168,11 @@ def predict(start, grid: ChebGrid, symbol: OperatorSymbol, params: ModelParams) 
 
 
 def correct(
-    traj: SdcTrajectory,
-    grid: ChebGrid,
-    S: IntegrationMatrix,
-    symbol: OperatorSymbol,
-    params: ModelParams,
+    traj: SdcTrajectory, S: IntegrationMatrix, symbol: OperatorSymbol, params: ModelParams
 ) -> List[SpectralField]:
-    """One linear correction sweep; returns the corrected fields at all nodes.
+    """One linear correction sweep over the trajectory's nodes, with S the
+    integration matrix of `traj.grid`; returns the corrected fields at all
+    nodes.
 
     Marching from eps^0 = 0, each interval solves
 
@@ -192,9 +190,8 @@ def correct(
     right-hand sides, one forward transform each, are built on the first
     sweep along `traj` and kept in `traj.ws`.
     """
-    n_t = grid.taus.size
-    if len(traj.phis) != n_t + 1:
-        raise ValueError("trajectory does not match the node grid")
+    taus = traj.grid.taus
+    n_t = taus.size
     g2 = symbol.g2_half
     grid0 = traj.phis[0].grid
     zero = grid0.zero_index
@@ -212,7 +209,7 @@ def correct(
     e_prev = None  # samples of eps^{n-1}; eps^0 = 0 is never sampled
     out = [traj.phis[0]]
     for n in range(n_t):
-        tau = float(grid.taus[n])
+        tau = float(taus[n])
         rhs = (
             eps.half * (1.0 - 0.5 * tau * g2)
             - (S.S[n] @ traj.ws).reshape(grid0.half_sizes)
@@ -350,7 +347,7 @@ def sdc_solve(
 
         traj = predict(state, grid_b, symbol, params)
         for _ in range(sweeps):
-            phis = correct(traj, grid_b, S, symbol, params)
+            phis = correct(traj, S, symbol, params)
             del traj  # free the old block storage before the new one is built
             traj = _refreeze(state, phis, grid_b, symbol, params)
 

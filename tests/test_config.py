@@ -93,8 +93,11 @@ def config_texts(draw):
     if draw(st.booleans()):
         section(
             "render",
-            {"window": listof(FLOAT, 2 * d, 2 * d), "resolution": listof(INT, d, d)},
-            {"floor_rel": FLOAT},
+            {
+                "window": listof(FLOAT, 2 * d, 2 * d),
+                "resolution": listof(st.integers(1, 1000).map(str), d, d),
+            },
+            {"floor_rel": st.floats(min_value=0.0, allow_infinity=False).map(repr)},
         )
     if draw(st.booleans()):
         section("spectrum", {}, {"threshold_rel": POSITIVE})

@@ -202,15 +202,6 @@ def test_cubic_dealiased_matches_brute_force_2d(rng):
     assert np.abs(got.coeffs - want).max() < 1e-12
 
 
-def test_quartic_exact_at_padding_three(rng):
-    # factor 2 is alias-free only through cubic terms; quartic needs more room
-    spec, grid = grid_1d(6)
-    f = random_field(grid, rng, scale=0.5, zero_mean=False, zero_extreme=True)
-    got = pointwise_poly(f, [(4, 1.0)], dealias=True, pad_factor=3)
-    want = brute_convolution_power(grid, f.coeffs, 4)
-    assert np.abs(got.coeffs - want).max() < 1e-12
-
-
 def test_poly_rejects_bad_exponent():
     spec, grid = grid_1d(8)
     with pytest.raises(ValueError):
@@ -301,6 +292,9 @@ def test_load_rejects_wrong_grid():
         "1.0 0.5 0.0",
         "x 0.5 0.0",
         "9" * 20 + " 0.5 0.0",
+        "1 nan 0.0\n-1 nan 0.0",
+        "1 0.5 inf\n-1 0.5 -inf",
+        "1 1e400 0.0",
     ],
     ids=[
         "too-few-tokens",
@@ -311,12 +305,41 @@ def test_load_rejects_wrong_grid():
         "float-index",
         "word-index",
         "index-beyond-int64",
+        "nan-value",
+        "inf-value",
+        "overflowing-value",
     ],
 )
 def test_load_rejects_malformed_line(line):
     spec, grid = grid_1d(8)
     text = "ipfc-field v1 n=1 sizes=8\n" + line + "\n"
     with pytest.raises(ValueError):
+        load_field(io.StringIO(text), grid)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "ipfc-field v1 1 8",
+        "ipfc-field v1 n=1 8",
+        "ipfc-field v1 m=1 sizes=8",
+        "ipfc-field v1 sizes=8 n=1",
+        "ipfc-field v1 n=1",
+        "ipfc-field v2 n=1 sizes=8",
+        "",
+    ],
+    ids=["no-keys", "no-sizes-key", "wrong-key", "swapped-keys", "missing-sizes", "version", "empty"],
+)
+def test_load_rejects_malformed_header(header):
+    spec, grid = grid_1d(8)
+    with pytest.raises(ValueError, match="unrecognized field dump header"):
+        load_field(io.StringIO(header + "\n1 0.5 0.0\n-1 0.5 0.0\n"), grid)
+
+
+def test_load_names_the_non_finite_line():
+    spec, grid = grid_1d(8)
+    text = "ipfc-field v1 n=1 sizes=8\n1 0.5 0.0\n-1 0.5 nan\n"
+    with pytest.raises(ValueError, match="'-1 0.5 nan'"):
         load_field(io.StringIO(text), grid)
 
 

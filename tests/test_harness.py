@@ -90,6 +90,23 @@ def test_parse_rejects_unknown_key():
         parse_config(BASE_1D + "\n[render]\nwindow = 0 1\nresolution = 4\nwat = 1\n")
 
 
+@pytest.mark.parametrize(
+    "render, match",
+    [
+        ("resolution = 0", "resolution"),
+        ("resolution = -4", "resolution"),
+        ("resolution = 4\nfloor_rel = -1", "floor_rel"),
+        ("resolution = 4\nfloor_rel = nan", "floor_rel"),
+    ],
+    ids=["zero-resolution", "negative-resolution", "negative-floor", "nan-floor"],
+)
+def test_parse_rejects_bad_render_values(render, match):
+    # rejected when the config is read, before a run writes anything
+    text = BASE_1D + f"\n[render]\nwindow = 0 1\n{render}\n"
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
 def test_parse_rejects_missing_required():
     with pytest.raises(ConfigError):
         parse_config("[projection]\nd = 1\nn = 1\nP = identity\nB = identity\n")
@@ -186,7 +203,7 @@ def test_spectrum_ddqc_star_twelve_fold():
     grid = spec_cfg.build_grid()
     q2 = 2 * np.cos(np.pi / 12)
     f = field_from_modes(grid, ring_star_modes(grid, (1.0, q2), 0.3))
-    kxy, amps, verdict = spectrum_report(f, grid, 0.1)
+    kxy, amps, verdict = spectrum_report(f, 0.1)
     assert verdict == "12-fold"
     assert len(amps) == 24
 
@@ -194,7 +211,7 @@ def test_spectrum_ddqc_star_twelve_fold():
 def test_spectrum_cosine_two_fold():
     spec, grid = grid_1d(16)
     f = cosine_field(grid)
-    kxy, amps, verdict = spectrum_report(f, grid, 0.1)
+    kxy, amps, verdict = spectrum_report(f, 0.1)
     assert verdict == "2-fold"
     assert len(amps) == 2
 
@@ -202,7 +219,7 @@ def test_spectrum_cosine_two_fold():
 def test_spectrum_zero_field_errors():
     spec, grid = grid_1d(16)
     with pytest.raises(ValueError, match="zero"):
-        spectrum_report(zeros_field(grid), grid, 0.1)
+        spectrum_report(zeros_field(grid), 0.1)
 
 
 def test_spectrum_hexagonal_star_six_fold():
@@ -217,7 +234,7 @@ def test_spectrum_hexagonal_star_six_fold():
     modes = [(tuple(grid.modes(i).tolist()), 0.3, 0.0) for i in np.flatnonzero(on)]
     assert len(modes) == 6
     f = field_from_modes(grid, modes)
-    _, amps, verdict = spectrum_report(f, grid, 0.1)
+    _, amps, verdict = spectrum_report(f, 0.1)
     assert verdict == "6-fold"
 
 
@@ -231,8 +248,8 @@ def test_spectrum_invariant_under_translation():
     shift = np.array([0.37, -1.21])
     phases = np.exp(-1j * grid.wavevectors(np.arange(grid.total)) @ shift)
     g = field_from_coeffs(grid, f.coeffs.ravel() * phases)
-    _, _, v1 = spectrum_report(f, grid, 0.1)
-    _, _, v2 = spectrum_report(g, grid, 0.1)
+    _, _, v1 = spectrum_report(f, 0.1)
+    _, _, v2 = spectrum_report(g, 0.1)
     assert v1 == v2 == "12-fold"
 
 
@@ -256,7 +273,7 @@ def test_classify_fold_rotated_set_invariance():
 def test_render_constant_field_midgray():
     spec, grid = grid_1d(8)
     f = zeros_field(grid)
-    img = render_field(f, spec, grid, [(0.0, 1.0)], (5,))
+    img = render_field(f, [(0.0, 1.0)], (5,))
     np.testing.assert_array_equal(img, np.full(5, 128, dtype=np.uint8))
 
 
@@ -265,7 +282,7 @@ def test_render_cosine_stripes(tmp_path):
     spec = spec_cfg.build_spec()
     grid = spec_cfg.build_grid()
     f = field_from_modes(grid, [((1, 0, 0, 0), 0.5, 0.0), ((-1, 0, 0, 0), 0.5, 0.0)])
-    img = render_field(f, spec, grid, [0.0, 4 * np.pi, 0.0, 4 * np.pi], (32, 8))
+    img = render_field(f, [0.0, 4 * np.pi, 0.0, 4 * np.pi], (32, 8))
     # varies along the first (x) axis, constant along the second
     assert np.ptp(img, axis=0).max() == 255
     assert np.ptp(img, axis=1).max() == 0

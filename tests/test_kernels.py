@@ -34,7 +34,7 @@ def test_poly_eval_polynomial_values(terms, vals):
 
 
 def test_bohr_fourier_sum_across_chunk_boundary(rng):
-    # 8192 points fill one chunk; the 5 beyond it form a second one.
+    # 8197 points in one phase matrix: the kernel leaves chunking to callers.
     kvecs = rng.standard_normal((7, 2))
     cre = rng.standard_normal(7)
     cim = rng.standard_normal(7)

@@ -245,13 +245,13 @@ def test_sample_real_space_cosine():
     spec, grid = grid_1d(8)
     f = cosine_field(grid)
     xs = np.linspace(0.0, 2 * np.pi, 33)
-    vals = sample_real_space(spec, grid, f, [(0.0, 2 * np.pi)], (33,))
+    vals = sample_real_space(f, [(0.0, 2 * np.pi)], (33,))
     np.testing.assert_allclose(vals, np.cos(xs), atol=1e-12)
 
 
 def test_sample_real_space_zero_field():
     spec, grid = grid_1d(8)
-    vals = sample_real_space(spec, grid, zeros_field(grid), [(0.0, 1.0)], (7,))
+    vals = sample_real_space(zeros_field(grid), [(0.0, 1.0)], (7,))
     np.testing.assert_array_equal(vals, np.zeros(7))
 
 
@@ -261,10 +261,8 @@ def test_sample_real_space_linear(rng):
     g = random_field(grid, rng)
     window = [(0.0, 4.0)]
     res = (21,)
-    lhs = sample_real_space(spec, grid, 2.5 * f + (-1.5) * g, window, res)
-    rhs = 2.5 * sample_real_space(spec, grid, f, window, res) - 1.5 * sample_real_space(
-        spec, grid, g, window, res
-    )
+    lhs = sample_real_space(2.5 * f + (-1.5) * g, window, res)
+    rhs = 2.5 * sample_real_space(f, window, res) - 1.5 * sample_real_space(g, window, res)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
@@ -272,7 +270,7 @@ def test_sample_amplitude_floor():
     spec, grid = grid_1d(8)
     f = cosine_field(grid, amplitude=1.0)
     # floor above the coefficient magnitude prunes everything
-    vals = sample_real_space(spec, grid, f, [(0.0, 1.0)], (5,), amplitude_floor=0.6)
+    vals = sample_real_space(f, [(0.0, 1.0)], (5,), amplitude_floor=0.6)
     np.testing.assert_array_equal(vals, np.zeros(5))
 
 
@@ -312,7 +310,7 @@ def _raster_cases(draw):
 @given(_raster_cases())
 def test_sample_real_space_matches_direct_sum(case):
     spec, grid, fld, window, resolution, floor = case
-    got = sample_real_space(spec, grid, fld, window, resolution, amplitude_floor=floor)
+    got = sample_real_space(fld, window, resolution, amplitude_floor=floor)
     want, scale = _direct_raster(grid, fld, window, resolution, floor)
     assert got.shape == resolution
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -331,8 +329,31 @@ def test_sample_real_space_across_mode_chunks(dodecagonal_small, rng, monkeypatc
     # five modes' folded coefficients and last-axis phases per chunk
     monkeypatch.setattr(lattice, "RASTER_CHUNK_BYTES", 16 * (9 + 7) * 5)
     monkeypatch.setattr(lattice, "bohr_fourier_sum", counted)
-    got = sample_real_space(spec, grid, fld, window, resolution, amplitude_floor=1e-3)
+    got = sample_real_space(fld, window, resolution, amplitude_floor=1e-3)
     want, scale = _direct_raster(grid, fld, window, resolution, 1e-3)
     modes = int((np.abs(fld.coeffs) > 1e-3).sum())
     assert calls == [5] * (modes // 5) + ([modes % 5] if modes % 5 else [])
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_sample_real_space_long_last_axis(rng, monkeypatch):
+    # A last axis longer than 8192 points goes to the kernel whole: only the
+    # modes are chunked, and the chunk size accounts for every point.
+    spec, grid = grid_1d(16)
+    fld = random_field(grid, rng)
+    window, resolution = [(-40.0, 40.0)], (8192 + 5,)
+    calls = []
+
+    def counted(*args):
+        calls.append((args[0].shape[0], args[3].shape[0]))
+        return bohr_fourier_sum(*args)
+
+    # four modes' last-axis phases per chunk
+    monkeypatch.setattr(lattice, "RASTER_CHUNK_BYTES", 16 * (1 + resolution[0]) * 4)
+    monkeypatch.setattr(lattice, "bohr_fourier_sum", counted)
+    got = sample_real_space(fld, window, resolution)
+    want, scale = _direct_raster(grid, fld, window, resolution, 0.0)
+    modes = int(np.count_nonzero(fld.coeffs))
+    chunks = [4] * (modes // 4) + ([modes % 4] if modes % 4 else [])
+    assert calls == [(m, resolution[0]) for m in chunks]
     assert np.max(np.abs(got - want)) <= 1e-12 * scale

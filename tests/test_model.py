@@ -4,18 +4,23 @@ import pytest
 from ipfc import (
     ModelParams,
     PhysicalField,
-    bulk_density,
-    bulk_energy_f1,
     energy,
     inner_ap,
     nprime,
+    pointwise_poly,
     to_physical,
     variational_derivative,
     zeros_field,
 )
 from ipfc.errors import BulkPositivityError
 from ipfc.field import norm_ap
-from ipfc.model import bulk_mean, sav_ingredients, sqrt_f1_deviation
+from ipfc.model import (
+    _shifted_bulk,
+    bulk_mean,
+    bulk_mean_of_samples,
+    sav_ingredients,
+    sqrt_f1_deviation,
+)
 
 from conftest import Q_BENCH, cosine_field, grid_1d, params_bench, random_field, sine_field
 from ipfc import build_symbol
@@ -30,11 +35,11 @@ def quadrature_energy(spec, grid, f, params, npts=4096):
     from ipfc import sample_real_space
 
     xs_window = [(0.0, 2 * np.pi * (1 - 1.0 / npts))]
-    phi = sample_real_space(spec, grid, f, xs_window, (npts,))
+    phi = sample_real_space(f, xs_window, (npts,))
     gsym = build_symbol(spec, grid, params.q)
     from ipfc import apply_symbol
 
-    gphi = sample_real_space(spec, grid, apply_symbol(f, gsym), xs_window, (npts,))
+    gphi = sample_real_space(apply_symbol(f, gsym), xs_window, (npts,))
     dens = (
         0.5 * gphi**2
         + 0.5 * params.eps * phi**2
@@ -44,19 +49,24 @@ def quadrature_energy(spec, grid, f, params, npts=4096):
     return float(dens.mean())
 
 
+def shifted_bulk(f, params):
+    """F1(f) = <N(f), 1> + c1, through the stepper's positivity guard."""
+    return _shifted_bulk(bulk_mean(f, params), params)
+
+
 def test_bulk_density_values(rng):
     spec, grid = grid_1d(8)
     params = params_bench()
     zero = PhysicalField(grid, np.zeros(8))
-    np.testing.assert_array_equal(bulk_density(zero, params).values, np.zeros(8))
+    assert bulk_mean_of_samples(zero, params) == 0.0
 
     one = PhysicalField(grid, np.ones(8))
-    np.testing.assert_allclose(bulk_density(one, params).values, 47.0 / 12.0, rtol=1e-15)
+    assert bulk_mean_of_samples(one, params) == pytest.approx(47.0 / 12.0, rel=1e-15)
 
     v = rng.standard_normal(8)
-    got = bulk_density(PhysicalField(grid, v), params).values
+    got = bulk_mean_of_samples(PhysicalField(grid, v), params)
     want = 5.0 * v**2 - (4.0 / 3.0) * v**3 + 0.25 * v**4
-    np.testing.assert_allclose(got, want, rtol=1e-14)
+    assert got == pytest.approx(want.mean(), rel=1e-14)
 
 
 def test_nprime_zero_and_constant():
@@ -88,7 +98,7 @@ def test_nprime_is_bulk_gradient(rng):
 def test_bulk_energy_f1_zero_field():
     spec, grid = grid_1d(8)
     params = params_bench(c1=7.5)
-    assert bulk_energy_f1(zeros_field(grid), params) == pytest.approx(7.5)
+    assert shifted_bulk(zeros_field(grid), params) == pytest.approx(7.5)
 
 
 def test_bulk_energy_f1_cosine():
@@ -97,18 +107,18 @@ def test_bulk_energy_f1_cosine():
     params = params_bench(c1=100.0)
     f = cosine_field(grid)
     expected = 10.0 / 2.0 * 0.5 + 0.25 * 3.0 / 8.0  # 2.59375
-    assert bulk_energy_f1(f, params) == pytest.approx(expected + 100.0, rel=1e-13)
+    assert shifted_bulk(f, params) == pytest.approx(expected + 100.0, rel=1e-13)
     # quadrature cross-check of the bulk part
     vals = to_physical(f).values
     oracle = float(np.mean(5.0 * vals**2 - (4.0 / 3.0) * vals**3 + 0.25 * vals**4))
-    assert bulk_energy_f1(f, params) - 100.0 == pytest.approx(oracle, rel=1e-13)
+    assert shifted_bulk(f, params) - 100.0 == pytest.approx(oracle, rel=1e-13)
 
 
 def test_bulk_energy_f1_huge_shift():
     spec, grid = grid_1d(16)
     params = params_bench(c1=1e16)
     f = cosine_field(grid)
-    val = bulk_energy_f1(f, params)
+    val = shifted_bulk(f, params)
     assert np.isfinite(val) and val > 1e16 * 0.999
 
 
@@ -117,14 +127,14 @@ def test_bulk_energy_f1_positivity_guard():
     params = ModelParams(q=Q_BENCH, eps=-2.0, alpha=2.0, c1=0.1)
     f = cosine_field(grid)  # <N> = -0.5 + 0.09375 < -c1
     with pytest.raises(BulkPositivityError):
-        bulk_energy_f1(f, params)
+        shifted_bulk(f, params)
 
 
 def test_f1_minus_shift_is_shift_independent(rng):
     spec, grid = grid_1d(16)
     f = random_field(grid, rng)
-    a = bulk_energy_f1(f, params_bench(c1=10.0)) - 10.0
-    b = bulk_energy_f1(f, params_bench(c1=1e6)) - 1e6
+    a = shifted_bulk(f, params_bench(c1=10.0)) - 10.0
+    b = shifted_bulk(f, params_bench(c1=1e6)) - 1e6
     assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
@@ -203,8 +213,7 @@ def test_sav_ratio_zero_field(bench_1d):
 def test_sav_ratio_scaling_consistency(bench_1d, rng):
     spec, grid, symbol, params = bench_1d
     f = random_field(grid, rng, scale=0.3)
-    u = sav_ingredients(f, params)[0]
-    sqrt_f1 = np.sqrt(bulk_energy_f1(f, params))
+    u, sqrt_f1 = sav_ingredients(f, params)
     np.testing.assert_allclose(
         u.coeffs * sqrt_f1, nprime(f, params).coeffs, rtol=1e-13, atol=1e-16
     )
@@ -223,9 +232,16 @@ def test_sav_ratio_magnitude_with_huge_shift(bench_1d, rng):
 def test_sav_ingredients_share_transform(bench_1d, rng, dealias):
     spec, grid, symbol, params = bench_1d
     f = random_field(grid, rng, scale=0.3)
-    u, sqrt_f1 = sav_ingredients(f, params, dealias=dealias)
-    assert sqrt_f1 == np.sqrt(bulk_energy_f1(f, params, dealias=dealias))
-    np.testing.assert_array_equal(u.coeffs, (nprime(f, params, dealias=dealias) / sqrt_f1).coeffs)
+    p = to_physical(f, dealias)
+    u, sqrt_f1 = sav_ingredients(p, params)
+    assert sqrt_f1 == np.sqrt(bulk_mean_of_samples(p, params) + params.c1)
+    nprime_terms = [(1, params.eps), (2, -params.alpha), (3, 1.0)]
+    want = pointwise_poly(f, nprime_terms, dealias=dealias) / sqrt_f1
+    np.testing.assert_array_equal(u.coeffs, want.coeffs)
+    if not dealias:
+        u_f, sqrt_f1_f = sav_ingredients(f, params)
+        assert sqrt_f1_f == sqrt_f1
+        np.testing.assert_array_equal(u_f.coeffs, u.coeffs)
 
 
 def test_sqrt_f1_deviation_accuracy():

@@ -19,6 +19,7 @@ from conftest import random_field
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+PROBE = ROOT / "perfbench" / "probe.py"
 
 CONFIG = """
 [projection]
@@ -133,3 +134,27 @@ def test_traced_render_raster_size(tmp_path, rng):
     sizes = [span[4] for span in doc["spans"] if span[0] == kernel]
     modes = int(np.count_nonzero(np.abs(fld.coeffs) > 1e-3 * np.abs(fld.coeffs).max()))
     assert sizes == [[modes, 10]]
+
+
+def test_setup_probe_runs(tmp_path, rng):
+    # The benchmark times set-up with this probe, which calls the config,
+    # grid, symbol, initial-field and dump-loading API directly.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    grid = parse_config(CONFIG).build_grid()
+    dump = tmp_path / "state.field"
+    with open(dump, "w", encoding="utf-8") as fh:
+        dump_field(random_field(grid, rng), fh)
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    for extra in ([], [str(dump)]):
+        proc = subprocess.run(
+            [sys.executable, str(PROBE), str(cfg), *extra],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        float(proc.stdout)

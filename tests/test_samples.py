@@ -108,7 +108,7 @@ def test_corrected_trajectory_samples_match_fields(T, c1, dealias, seed):
     state = init_state(phi0, symbol, params, dealias=dealias)
     g = cheb_nodes(T, 4)
     traj = predict(state, g, symbol, params)
-    phis = correct(traj, g, integration_matrix(g), symbol, params)
+    phis = correct(traj, integration_matrix(g), symbol, params)
     corrected = _refreeze(state, phis, g, symbol, params)
     for fld, samples in zip(corrected.phis, corrected.samples):
         _assert_samples_match(fld, samples, dealias)

@@ -116,7 +116,7 @@ def test_restep_reproduces_predictor_bitwise(bench_1d, rng):
     rebuilt = _refreeze(init_state(phi0, symbol, params), traj.phis, g, symbol, params)
     S = integration_matrix(g)
     for t in (traj, rebuilt):
-        correct(t, g, S, symbol, params)
+        correct(t, S, symbol, params)
     np.testing.assert_array_equal(rebuilt.ws, traj.ws)
     np.testing.assert_array_equal(rebuilt.r_devs, traj.r_devs)
     np.testing.assert_array_equal(rebuilt.kappas, traj.kappas)
@@ -130,7 +130,7 @@ def test_correct_zero_predictor_stays_zero(bench_1d):
     g = cheb_nodes(0.1, 6)
     S = integration_matrix(g)
     traj = predict(zeros_field(grid), g, symbol, params)
-    out = correct(traj, g, S, symbol, params)
+    out = correct(traj, S, symbol, params)
     assert all(norm_ap(p) == 0.0 for p in out)
 
 
@@ -148,7 +148,7 @@ def test_correct_linear_diagonal_oracle():
     g = cheb_nodes(T, 16)
     S = integration_matrix(g)
     traj = predict(phi0, g, symbol, params)
-    out = correct(traj, g, S, symbol, params)
+    out = correct(traj, S, symbol, params)
 
     rate = grid.unfold(symbol.g2_half).ravel() + params.eps
     exact = phi0.coeffs.ravel() * np.exp(-rate * T)
@@ -170,7 +170,7 @@ def test_correction_keeps_zero_mode(bench_1d, rng):
     g = cheb_nodes(0.05, 8)
     S = integration_matrix(g)
     traj = predict(phi0, g, symbol, params)
-    for p in correct(traj, g, S, symbol, params):
+    for p in correct(traj, S, symbol, params):
         assert abs(p.coeffs.ravel()[grid.zero_index]) <= 1e-13
 
 
@@ -184,7 +184,7 @@ def test_correct_non_finite_raises_numerical_error(bench_1d, rng):
     traj = predict(phi0, g, symbol, params)
     traj.kappas[3] = np.nan
     with pytest.raises(NumericalError, match="zero mode"):
-        correct(traj, g, S, symbol, params)
+        correct(traj, S, symbol, params)
 
 
 def test_sdc_solve_zero_sweeps_is_predictor(bench_1d, rng):
