@@ -316,11 +316,10 @@ def pointwise_poly(f: SpectralField, terms, dealias: bool = False) -> SpectralFi
     return samples_to_spectral(poly_samples(to_physical(f, dealias), terms))
 
 
-def pointwise_poly_mean(f: SpectralField, terms) -> float:
-    """Spatial mean of a pointwise polynomial of the field (its zero mode),
-    from its samples on the embedding grid."""
-    terms = _validate_terms(terms)
-    return float(poly_eval(to_physical(f).values, terms).mean())
+def pointwise_poly_mean(p: PhysicalField, terms) -> float:
+    """Spatial mean of a pointwise polynomial of the field sampled by p (on
+    either grid); `terms` as in `pointwise_poly`."""
+    return float(poly_eval(p.values, _validate_terms(terms)).mean())
 
 
 # -- diagonal operators --------------------------------------------------------

@@ -153,11 +153,12 @@ _SCHEMES = ("sav_cn", "sav_cn_sdc")
 
 # -- config sections -----------------------------------------------------------
 # Each section is a dataclass whose field defaults are the config defaults.
-# check() runs the section's cross-field checks once the file is parsed.
+# check() runs the section's cross-field checks once the file is parsed; it
+# receives the whole config, so it can also check keys of other sections.
 
 
 class _Section:
-    def check(self, projection: ProjectionCfg) -> None:
+    def check(self, cfg: ExperimentConfig) -> None:
         pass
 
 
@@ -169,7 +170,7 @@ class ProjectionCfg(_Section):
     B: np.ndarray
     sizes: Tuple[int, ...]
 
-    def check(self, projection) -> None:
+    def check(self, cfg) -> None:
         if isinstance(self.P, str):
             if self.d != self.n:
                 raise ConfigError("'identity' projections need d == n")
@@ -195,7 +196,7 @@ class TimeCfg(_Section):
     sweeps: int = 1
     block: int = 4096
 
-    def check(self, projection) -> None:
+    def check(self, cfg) -> None:
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"[time] scheme must be sav_cn or sav_cn_sdc, got {self.scheme!r}")
         if self.T <= 0 or self.nt < 1:
@@ -214,7 +215,7 @@ class InitialCfg(_Section):
     modes: Optional[List[Tuple[Tuple[int, ...], float, float]]] = None
     file: Optional[str] = None
 
-    def check(self, projection) -> None:
+    def check(self, cfg) -> None:
         if self.kind not in {"sine", "mode_list", "field_file"}:
             raise ConfigError(
                 f"[initial] kind must be sine, mode_list or field_file, got {self.kind!r}"
@@ -223,10 +224,16 @@ class InitialCfg(_Section):
             raise ConfigError("[initial] mode_list needs a 'modes' key")
         if self.kind == "field_file" and self.file is None:
             raise ConfigError("[initial] field_file needs a 'file' key")
-        n = projection.n
+        n = cfg.projection.n
         for h, _, _ in self.modes or ():
             if len(h) != n:
                 raise ConfigError(f"[initial] mode rows need {n} indices, amplitude and phase; got {h}")
+
+
+def _dump_tol(T: float) -> float:
+    """How far a node may fall short of a requested dump time and still
+    write it, in a run to time T."""
+    return 1e-9 * max(1.0, T)
 
 
 @dataclass
@@ -236,6 +243,14 @@ class OutputCfg(_Section):
     dump_times: Tuple[float, ...] = ()
     dump_prefix: str = "state"
 
+    def check(self, cfg) -> None:
+        # a run writes a dump at the first node at or past each time, within
+        # run_evolution's tolerance; a time past [time] T has no such node
+        if cfg.time is not None:
+            late = [t for t in self.dump_times if not t <= cfg.time.T + _dump_tol(cfg.time.T)]
+            if late:
+                raise ConfigError(f"[output] dump_times {late} lie past [time] T = {cfg.time.T!r}")
+
 
 @dataclass
 class RenderCfg(_Section):
@@ -243,23 +258,23 @@ class RenderCfg(_Section):
     resolution: Tuple[int, ...]
     floor_rel: float = 1e-8
 
-    def check(self, projection) -> None:
-        d = projection.d
+    def check(self, cfg) -> None:
+        d = cfg.projection.d
         if len(self.window) != 2 * d or len(self.resolution) != d:
             raise ConfigError(f"[render] window needs {2 * d} numbers and resolution {d}")
         if any(r < 1 for r in self.resolution):
             raise ConfigError("[render] resolution entries must be >= 1")
-        if not self.floor_rel >= 0:
-            raise ConfigError("[render] floor_rel must be >= 0")
+        if not 0 <= self.floor_rel < 1:
+            raise ConfigError("[render] floor_rel must be in [0, 1): at 1 or more it drops every mode")
 
 
 @dataclass
 class SpectrumCfg(_Section):
     threshold_rel: float = 0.1
 
-    def check(self, projection) -> None:
-        if not self.threshold_rel > 0:
-            raise ConfigError("[spectrum] threshold_rel must be positive")
+    def check(self, cfg) -> None:
+        if not 0 < self.threshold_rel < 1:
+            raise ConfigError("[spectrum] threshold_rel must be in (0, 1): at 1 or more it drops every mode")
 
 
 @dataclass
@@ -269,14 +284,29 @@ class ConvergenceCfg(_Section):
     schemes: Tuple[str, ...] = _SCHEMES
     csv: str = "rates.csv"
 
-    def check(self, projection) -> None:
+    def check(self, cfg) -> None:
         bad = [s for s in self.schemes if s not in _SCHEMES]
         if bad:
             raise ConfigError(f"[convergence] unknown schemes {bad}")
         if not self.nt_list:
             raise ConfigError("[convergence] nt_list is empty")
+        if min(self.nt_list) < 1:
+            raise ConfigError("[convergence] nt_list entries must be >= 1")
         if self.reference_nt <= max(self.nt_list):
             raise ConfigError("[convergence] reference_nt must exceed every tested nt")
+        tcfg = cfg.time
+        if tcfg is None:
+            return
+        # the reference is an SDC run with at least one sweep, and so is
+        # each tested nt of the sav_cn_sdc scheme
+        runs = [(self.reference_nt, max(tcfg.sweeps, 1))]
+        if "sav_cn_sdc" in self.schemes:
+            runs += [(nt, tcfg.sweeps) for nt in self.nt_list]
+        for nt, sweeps in runs:
+            try:
+                _sdc_blocks(nt, sweeps, tcfg.block)
+            except ValueError as exc:
+                raise ConfigError(f"[convergence] {exc}") from None
 
 
 @dataclass
@@ -289,7 +319,7 @@ class ScalesCfg(_Section):
     seed: int = 0
     ring_tol: float = 1e-8
 
-    def check(self, projection) -> None:
+    def check(self, cfg) -> None:
         if any(m < 1 for m in self.m_list):
             raise ConfigError("[scales] m_list entries must be >= 1")
 
@@ -425,7 +455,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for name in _SECTIONS:
         section = getattr(cfg, name)
         if section is not None:
-            section.check(cfg.projection)
+            section.check(cfg)
     return cfg
 
 
@@ -581,8 +611,8 @@ def spectrum_report(fld: SpectralField, threshold_rel: float):
     one-dimensional fields, rows sorted lexicographically for deterministic
     output.
     """
-    if threshold_rel <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold_rel < 1:
+        raise ValueError("threshold must be in (0, 1): at 1 or more it drops every mode")
     flat = np.abs(fld.coeffs.ravel())
     mx = float(flat.max()) if flat.size else 0.0
     if mx <= 0.0:
@@ -613,7 +643,10 @@ def write_spectrum_csv(path: str, kxy: np.ndarray, amps: np.ndarray) -> None:
 
 def render_field(fld: SpectralField, window, resolution, floor_rel: float = 1e-8) -> np.ndarray:
     """Grayscale raster of the field over the window: linear map of the
-    sampled range onto 0..255, a degenerate range maps to uniform 128."""
+    sampled range onto 0..255, a degenerate range maps to uniform 128.
+    Modes at or below floor_rel times the largest amplitude are dropped."""
+    if not 0 <= floor_rel < 1:
+        raise ValueError("floor_rel must be in [0, 1): at 1 or more it drops every mode")
     cmax = float(np.abs(fld.half).max())
     floor = floor_rel * cmax
     raster = sample_real_space(fld, window, resolution, amplitude_floor=floor)
@@ -702,7 +735,7 @@ def run_evolution(cfg: ExperimentConfig, base_dir: str = ".") -> dict:
     dumps: List[str] = []
     # each requested dump time snaps to the first node at or past it
     pending = sorted(float(t) for t in cfg.output.dump_times)
-    tol = 1e-9 * max(1.0, cfg.time.T)
+    tol = _dump_tol(cfg.time.T)
 
     def dump(t: float, fld: SpectralField) -> None:
         if not pending or t < pending[0] - tol:

@@ -107,17 +107,28 @@ class IndexGrid:
     def __post_init__(self) -> None:
         self.half_sizes = self.sizes[:-1] + (self.sizes[-1] // 2 + 1,)
         self.total = int(np.prod(self.sizes))
-        ksq = (self.wavevectors(np.arange(self.total)) ** 2).sum(axis=1).reshape(self.sizes)
         # Realness pairs mode h with -h mod N.  On the unmatched -N_j/2
         # planes the mod-N mirror is not the true mirror; when the projection
         # makes their |k|^2 differ, diagonal symbols would break conjugate
         # symmetry, so such modes carry no content.  (Interior modes negate
-        # exactly; plain periodic grids keep every mode.)
-        live = ksq == mirrored(ksq)
-        h = self.half_sizes[-1]
-        self.ksq = np.ascontiguousarray(ksq[..., :h])
-        self.live_mask = np.ascontiguousarray(live[..., :h])
-        self.all_live = bool(live.all())
+        # exactly; plain periodic grids keep every mode.)  Built one slab of
+        # the first axis (the half axis of a 1-d grid) at a time, so that
+        # only one slab's wavevectors exist at once.
+        rest = self.half_sizes[1:]
+        slab = np.indices(rest).reshape(len(rest), -1 if rest else 1)
+        sizes = np.array(self.sizes)[:, None]
+
+        def ksq_at(pos):
+            flat = np.ravel_multi_index(tuple(pos), self.sizes)
+            return (self.wavevectors(flat) ** 2).sum(axis=1).reshape(rest)
+
+        self.ksq = np.empty(self.half_sizes)
+        self.live_mask = np.empty(self.half_sizes, dtype=bool)
+        for i0 in range(self.half_sizes[0]):
+            pos = np.vstack([np.full((1, slab.shape[1]), i0), slab])
+            self.ksq[i0] = ksq_at(pos)
+            self.live_mask[i0] = self.ksq[i0] == ksq_at(-pos % sizes)
+        self.all_live = bool(self.live_mask.all())
 
     def modes(self, flat) -> np.ndarray:
         """Integer modes h (one row per position) at full-layout flat

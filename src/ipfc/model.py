@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import poly_eval
 from .errors import BulkPositivityError, NumericalError
 from .field import (
     PhysicalField,
     SpectralField,
     apply_symbol,
     inner_ap,
-    pointwise_poly,
     pointwise_poly_mean,
     poly_samples,
     samples_to_spectral,
@@ -70,16 +68,15 @@ def _bulk_terms(params: ModelParams):
     return ((2, 0.5 * params.eps), (3, -params.alpha / 3.0), (4, 0.25))
 
 
-def nprime(f: SpectralField, params: ModelParams) -> SpectralField:
-    """Derivative of the bulk density, eps*phi - alpha*phi^2 + phi^3, from
-    samples on the embedding grid (`nprime_of_samples` takes others)."""
-    return pointwise_poly(f, _nprime_terms(params))
+def nprime(p: PhysicalField, params: ModelParams) -> SpectralField:
+    """Derivative of the bulk density, eps*phi - alpha*phi^2 + phi^3, of the
+    field sampled by p (on either grid): one forward transform."""
+    return samples_to_spectral(poly_samples(p, _nprime_terms(params)))
 
 
-def bulk_mean(f: SpectralField, params: ModelParams) -> float:
-    """Spatial mean of the bulk density (no shift), from samples on the
-    embedding grid (`bulk_mean_of_samples` takes others)."""
-    return pointwise_poly_mean(f, _bulk_terms(params))
+def bulk_mean(p: PhysicalField, params: ModelParams) -> float:
+    """Spatial mean of the bulk density (no shift) of the field sampled by p."""
+    return pointwise_poly_mean(p, _bulk_terms(params))
 
 
 def _shifted_bulk(nu: float, params: ModelParams) -> float:
@@ -92,24 +89,21 @@ def _shifted_bulk(nu: float, params: ModelParams) -> float:
 
 
 def energy(f: SpectralField, symbol: OperatorSymbol, params: ModelParams) -> float:
-    """Total free energy, 1/2 ||G phi||^2 + <N(phi), 1> (no shift)."""
+    """Total free energy, 1/2 ||G phi||^2 + <N(phi), 1> (no shift), with the
+    bulk part from samples on the embedding grid."""
     gf = apply_symbol(f, symbol, power=1)
     grad = 0.5 * inner_ap(gf, gf)
     if not grad >= -1e-15:
         raise NumericalError(f"gradient part of the energy is {grad!r}, not nonnegative")
-    return grad + bulk_mean(f, params)
+    return grad + bulk_mean(to_physical(f), params)
 
 
 def variational_derivative(
     f: SpectralField, symbol: OperatorSymbol, params: ModelParams
 ) -> SpectralField:
-    """G^2 phi + N'(phi), the gradient of the energy."""
-    return apply_symbol(f, symbol, power=2) + nprime(f, params)
-
-
-def nprime_of_samples(p: PhysicalField, params: ModelParams) -> SpectralField:
-    """N' of the field sampled by p: one forward transform."""
-    return samples_to_spectral(poly_samples(p, _nprime_terms(params)))
+    """G^2 phi + N'(phi), the gradient of the energy, with N' from samples
+    on the embedding grid."""
+    return apply_symbol(f, symbol, power=2) + nprime(to_physical(f), params)
 
 
 def nprime_increment(fbar: PhysicalField, ebar: PhysicalField, params: ModelParams) -> SpectralField:
@@ -119,19 +113,14 @@ def nprime_increment(fbar: PhysicalField, ebar: PhysicalField, params: ModelPara
     return samples_to_spectral(poly_samples(fbar + ebar, terms) - poly_samples(fbar, terms))
 
 
-def bulk_mean_of_samples(p: PhysicalField, params: ModelParams) -> float:
-    """Spatial mean of the bulk density of the field sampled by p."""
-    return float(poly_eval(p.values, _bulk_terms(params)).mean())
-
-
 def sav_ingredients(fbar, params: ModelParams):
     """The auxiliary-variable ratio field u = N'(fbar)/sqrt(F1(fbar)) together
     with sqrt(F1(fbar)).  fbar is a SpectralField, sampled on the embedding
     grid, or its samples (a PhysicalField, on either grid), which saves the
     inverse transform."""
     p = fbar if isinstance(fbar, PhysicalField) else to_physical(fbar)
-    sqrt_f1 = float(np.sqrt(_shifted_bulk(bulk_mean_of_samples(p, params), params)))
-    return nprime_of_samples(p, params) / sqrt_f1, sqrt_f1
+    sqrt_f1 = float(np.sqrt(_shifted_bulk(bulk_mean(p, params), params)))
+    return nprime(p, params) / sqrt_f1, sqrt_f1
 
 
 def sqrt_f1_deviation(nu: float, c1: float) -> float:

@@ -38,7 +38,7 @@ from .field import (
     to_physical,
 )
 from .lattice import OperatorSymbol
-from .model import ModelParams, _shifted_bulk, bulk_mean_of_samples, sav_ingredients, sqrt_f1_deviation
+from .model import ModelParams, _shifted_bulk, bulk_mean, sav_ingredients, sqrt_f1_deviation
 
 __all__ = [
     "StepperState",
@@ -102,7 +102,7 @@ def init_state(
     if abs(phi0.half.ravel()[phi0.grid.zero_index]) > _MEAN_TOL:
         raise ValueError("initial field must have zero mean")
     samples = to_physical(phi0, dealias)
-    nu = bulk_mean_of_samples(samples, params)
+    nu = bulk_mean(samples, params)
     _shifted_bulk(nu, params)  # raises unless the shifted bulk energy is positive
     return StepperState(
         phi=phi0,
@@ -116,7 +116,7 @@ def init_state(
 
 def initial_report(state: StepperState, symbol: OperatorSymbol, params: ModelParams) -> StepReport:
     """Energy row of a state's field as an initial node, from its samples."""
-    nu = bulk_mean_of_samples(state.samples, params)
+    nu = bulk_mean(state.samples, params)
     return _node_report(state.phi, None, 0.0, state.r_dev, state.sqrt_c1, nu, symbol)
 
 
@@ -179,7 +179,7 @@ def _advance(
     )
     report = _node_report(
         phi_new, state.phi, tau, new_state.r_dev, state.sqrt_c1,
-        bulk_mean_of_samples(v_new, params), symbol,
+        bulk_mean(v_new, params), symbol,
     )
     return new_state, report
 

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import NumericalError
 from .field import PhysicalField, SpectralField, enforce_hermitian, project_mean, to_physical
 from .lattice import OperatorSymbol
-from .model import ModelParams, nprime_increment, nprime_of_samples
+from .model import ModelParams, nprime, nprime_increment
 from .sav_cn import (
     StepperState,
     StepReport,
@@ -202,7 +202,7 @@ def correct(
             # The stepped flow is the mean-constrained one, so its right-hand
             # side carries no zero mode.
             np.multiply(phi.half.ravel(), g2.ravel(), out=row)
-            row += nprime_of_samples(p, params).half.ravel()
+            row += nprime(p, params).half.ravel()
             row[zero] = 0.0
 
     eps = SpectralField(grid0, np.zeros_like(traj.phis[0].half))

@@ -97,6 +97,24 @@ def test_sdc_time_settings_rejected_before_output(tmp_path, capsys, time):
     assert not (tmp_path / "out").exists()
 
 
+def test_convergence_settings_rejected_before_output(tmp_path, capsys):
+    # nt = 1 cannot form an SDC block; the study is refused before its
+    # reference solve and before its output directory exists
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text(CONFIG.replace("nt_list = 8 16", "nt_list = 16 1").replace("schemes = sav_cn\n", ""))
+    assert main(["converge", str(cfg)]) == 1
+    assert "[convergence]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dump_times_past_the_end_rejected(tmp_path, capsys):
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(CONFIG.replace("dump_times = 0.05", "dump_times = 0.05 0.5"))
+    assert main(["evolve", str(cfg)]) == 1
+    assert "dump_times" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["evolve", "/nonexistent/nowhere.cfg"]) == 1
 

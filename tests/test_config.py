@@ -63,12 +63,14 @@ def config_texts(draw):
             "dealias": st.sampled_from(["true", "false", "yes", "off", "1"]),
         },
     )
+    T = None
     if draw(st.booleans()):
         # valid for either scheme: SDC rejects sweeps < 0 and any block of
         # fewer than two intervals (nt = 1, or odd nt in blocks of 2)
+        T = draw(st.floats(min_value=1e-6, max_value=1e6))
         section(
             "time",
-            {"T": POSITIVE, "nt": st.integers(2, 100).map(str)},
+            {"T": st.just(repr(T)), "nt": st.integers(2, 100).map(str)},
             {
                 "scheme": st.sampled_from(SCHEMES),
                 "sweeps": st.integers(0, 1000).map(str),
@@ -85,10 +87,13 @@ def config_texts(draw):
             required[name] = keys.pop(name)
         section("initial", required, {"amplitude": FLOAT, **keys})
     if draw(st.booleans()):
+        # a run has no node past [time] T to write a later dump at
+        late = None if T is None else T + 1e-9 * max(1.0, T)
+        dump_times = listof(st.floats(max_value=late, allow_nan=False, allow_infinity=False).map(repr))
         section(
             "output",
             {},
-            {"dir": WORD, "energy_csv": WORD, "dump_times": listof(FLOAT), "dump_prefix": WORD},
+            {"dir": WORD, "energy_csv": WORD, "dump_times": dump_times, "dump_prefix": WORD},
         )
     if draw(st.booleans()):
         section(
@@ -97,12 +102,16 @@ def config_texts(draw):
                 "window": listof(FLOAT, 2 * d, 2 * d),
                 "resolution": listof(st.integers(1, 1000).map(str), d, d),
             },
-            {"floor_rel": st.floats(min_value=0.0, allow_infinity=False).map(repr)},
+            # at 1 or more the floor drops every mode
+            {"floor_rel": st.floats(min_value=0.0, max_value=1.0, exclude_max=True).map(repr)},
         )
     if draw(st.booleans()):
-        section("spectrum", {}, {"threshold_rel": POSITIVE})
+        # at 1 or more the threshold drops every mode
+        threshold = st.floats(min_value=1e-6, max_value=1.0, exclude_max=True).map(repr)
+        section("spectrum", {}, {"threshold_rel": threshold})
     if draw(st.booleans()):
-        nts = draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))
+        # with [time], the SDC runs need at least two intervals per block
+        nts = draw(st.lists(st.integers(1 if T is None else 2, 64), min_size=1, max_size=4))
         section(
             "convergence",
             {

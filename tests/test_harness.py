@@ -97,14 +97,64 @@ def test_parse_rejects_unknown_key():
         ("resolution = -4", "resolution"),
         ("resolution = 4\nfloor_rel = -1", "floor_rel"),
         ("resolution = 4\nfloor_rel = nan", "floor_rel"),
+        ("resolution = 4\nfloor_rel = 1.0", "floor_rel"),
+        ("resolution = 4\nfloor_rel = inf", "floor_rel"),
     ],
-    ids=["zero-resolution", "negative-resolution", "negative-floor", "nan-floor"],
+    ids=["zero-resolution", "negative-resolution", "negative-floor", "nan-floor", "unit-floor", "inf-floor"],
 )
 def test_parse_rejects_bad_render_values(render, match):
     # rejected when the config is read, before a run writes anything
     text = BASE_1D + f"\n[render]\nwindow = 0 1\n{render}\n"
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+@pytest.mark.parametrize("threshold", ["0", "1.0", "2.5", "inf", "nan"])
+def test_parse_rejects_bad_spectrum_threshold(threshold):
+    # at 1 or more no mode lies above the threshold, and an empty peak set
+    # would read as 12-fold
+    with pytest.raises(ConfigError, match="threshold_rel"):
+        parse_config(BASE_1D + f"\n[spectrum]\nthreshold_rel = {threshold}\n")
+
+
+@pytest.mark.parametrize(
+    "time, convergence, match",
+    [
+        ("", "nt_list = 16 0\nreference_nt = 64", "nt_list"),
+        ("", "nt_list = 16 1\nreference_nt = 64", "leaves a block of 1"),
+        ("block = 2", "nt_list = 4 8\nreference_nt = 65\nschemes = sav_cn", "leaves a block of 1"),
+        ("sweeps = -1", "nt_list = 4 8\nreference_nt = 64", "sweeps"),
+    ],
+    ids=["zero-nt", "sdc-nt-1", "odd-reference", "negative-sweeps"],
+)
+def test_parse_rejects_convergence_runs_that_cannot_step(time, convergence, match):
+    # checked against [time]'s sweeps and block when the config is read, not
+    # after the reference solve
+    text = BASE_1D.replace("nt = 10", f"nt = 10\n{time}") + f"\n[convergence]\n{convergence}\n"
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
+def test_parse_accepts_convergence_runs_that_can_step():
+    # sav_cn steps any nt, and the SDC reference takes at least one sweep
+    text = BASE_1D.replace("nt = 10", "nt = 10\nsweeps = -1") + (
+        "\n[convergence]\nnt_list = 1 2\nreference_nt = 64\nschemes = sav_cn\n"
+    )
+    assert parse_config(text).convergence.nt_list == (1, 2)
+
+
+@pytest.mark.parametrize("dump_times", ["0.05 0.5", "0.0500001", "nan"])
+def test_parse_rejects_dump_times_past_the_end(dump_times):
+    # a run to T = 0.05 has no node at or past these times
+    text = BASE_1D.replace("dir = out", f"dir = out\ndump_times = {dump_times}")
+    with pytest.raises(ConfigError, match="dump_times"):
+        parse_config(text)
+
+
+def test_parse_accepts_dump_times_within_tolerance_of_the_end():
+    # run_evolution writes a dump at a node up to 1e-9 max(1, T) short of its time
+    text = BASE_1D.replace("dir = out", "dir = out\ndump_times = 0 0.05 0.0500000005")
+    assert len(parse_config(text).output.dump_times) == 3
 
 
 def test_parse_rejects_missing_required():
@@ -222,6 +272,13 @@ def test_spectrum_zero_field_errors():
         spectrum_report(zeros_field(grid), 0.1)
 
 
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 2.5, np.inf])
+def test_spectrum_rejects_threshold_that_drops_every_mode(threshold):
+    spec, grid = grid_1d(16)
+    with pytest.raises(ValueError, match="threshold"):
+        spectrum_report(cosine_field(grid), threshold)
+
+
 def test_spectrum_hexagonal_star_six_fold():
     spec_cfg = parse_config(DDQC_HEAD)
     grid = spec_cfg.build_grid()
@@ -275,6 +332,13 @@ def test_render_constant_field_midgray():
     f = zeros_field(grid)
     img = render_field(f, [(0.0, 1.0)], (5,))
     np.testing.assert_array_equal(img, np.full(5, 128, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("floor_rel", [-1.0, 1.0, np.inf, np.nan])
+def test_render_rejects_floor_that_drops_every_mode(floor_rel):
+    spec, grid = grid_1d(8)
+    with pytest.raises(ValueError, match="floor_rel"):
+        render_field(cosine_field(grid), [(0.0, 1.0)], (5,), floor_rel)
 
 
 def test_render_cosine_stripes(tmp_path):

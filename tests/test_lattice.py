@@ -166,6 +166,21 @@ def test_grid_holds_only_half_layout_arrays():
     assert held <= grid.ksq.nbytes + grid.live_mask.nbytes + 4096
 
 
+def test_grid_build_peak_memory_is_bounded():
+    # |k|^2 and the live mask are built one first-axis slab at a time; the
+    # full-layout modes and wavevectors of a one-shot build peak near 28 MiB
+    import tracemalloc
+
+    spec = ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4))
+    tracemalloc.start()
+    try:
+        build_grid(spec, (24, 24, 24, 24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+
+
 def test_wavevector_identity_and_projection(dodecagonal_small):
     spec, grid = grid_1d(8)
     assert grid.wavevectors(grid.flat_index([3])) == pytest.approx(3.0)

@@ -158,3 +158,28 @@ def test_setup_probe_runs(tmp_path, rng):
         )
         assert proc.returncode == 0, proc.stderr
         float(proc.stdout)
+
+
+def test_traced_step_calls_the_model_names(tmp_path):
+    # The benchmark's model.nprime, model.bulk_mean and
+    # field.pointwise_poly_mean layers time the calls inside each step:
+    # N'(fbar) once, the bulk mean at fbar and at the new field.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    doc = _run_traced(tmp_path, "evolve", str(cfg))
+    names, spans = doc["names"], doc["spans"]
+    step = names.index("sav_cn.cn_step")
+
+    def in_step(i):
+        i = spans[i][3]
+        while i >= 0:
+            if spans[i][0] == step:
+                return True
+            i = spans[i][3]
+        return False
+
+    steps = sum(1 for span in spans if span[0] == step)
+    assert steps == 8
+    for name, per_step in (("model.nprime", 1), ("model.bulk_mean", 2), ("field.pointwise_poly_mean", 2)):
+        calls = sum(1 for i, span in enumerate(spans) if names[span[0]] == name and in_step(i))
+        assert calls == per_step * steps, name
