@@ -83,8 +83,15 @@ def _c_number(cast, what: str):
     return parse
 
 
+def _finite(v: str) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(v)
+    return x
+
+
 _c_int = _c_number(int, "integer")
-_c_float = _c_number(float, "number")
+_c_float = _c_number(_finite, "finite number")
 
 
 def _c_bool(v: str) -> bool:
@@ -672,43 +679,41 @@ def write_pgm(path: str, raster: np.ndarray) -> None:
 # -- drivers ---------------------------------------------------------------------
 
 
-def _run_scheme(state0: StepperState, symbol, params, tcfg: TimeCfg, on_node=None) -> SpectralField:
+def _run_scheme(state0: StepperState, symbol, params, tcfg: TimeCfg, on_step=None):
     """Step the initial state over [0, T] with the configured scheme, on the
-    sampling grid the state was built with, and return the final field.
-    on_node(step, t, tau, report, phi), if given, is called for every node
-    after the initial one as soon as the scheme has finished it: each step
-    for `sav_cn`, each corrected block for `sav_cn_sdc`."""
+    sampling grid the state was built with; returns (state, reports).
+    on_step(i, state, report), if given, is called for every node after the
+    initial one as soon as the scheme has finished it: each step for
+    `sav_cn`, each corrected block for `sav_cn_sdc`."""
     if tcfg.scheme == "sav_cn_sdc":
         return sdc_solve(
             state0, tcfg.T, tcfg.nt, symbol, params, sweeps=tcfg.sweeps, block=tcfg.block,
-            node_hook=on_node,
-        )[0]
+            on_step=on_step,
+        )
     times = np.linspace(0.0, tcfg.T, tcfg.nt + 1)
-
-    def on_step(i: int, state, report: StepReport) -> None:
-        if on_node is not None:
-            on_node(i, state.t, float(times[i] - times[i - 1]), report, state.phi)
-
-    return evolve(state0, times, symbol, params, on_step=on_step)[0].phi
+    return evolve(state0, times, symbol, params, on_step=on_step)
 
 
-def _write_energy_csv(path: str, phi0, symbol, params, dealias: bool, tcfg: TimeCfg, on_node=None):
+def _write_energy_csv(path: str, phi0, symbol, params, dealias: bool, tcfg: TimeCfg, on_step=None):
     """Run the configured scheme from phi0, writing one energy row per node
     (the initial one included) as it is finished and then calling
-    on_node(t, phi); returns the final field.  A failure part-way leaves the
-    rows of the nodes before it in the file."""
+    on_step(i, state, report); returns the final field.  A failure part-way
+    leaves the rows of the nodes before it in the file."""
     with open(path, "w", encoding="utf-8", newline="\n", buffering=1) as fh:
         fh.write(ENERGY_HEADER + "\n")
 
-        def row(step: int, t: float, tau: float, rep: StepReport, phi: SpectralField) -> None:
-            values = (t, tau, rep.original_energy, rep.modified_energy, rep.r_value, rep.w_norm_sq)
-            fh.write(f"{step}," + ",".join(map(_fmt_float, values)) + "\n")
-            if on_node is not None:
-                on_node(t, phi)
+        def row(i: int, state: StepperState, rep: StepReport) -> None:
+            values = (
+                state.t, rep.tau, rep.original_energy, rep.modified_energy, rep.r_value,
+                rep.w_norm_sq,
+            )
+            fh.write(f"{i}," + ",".join(map(_fmt_float, values)) + "\n")
+            if on_step is not None:
+                on_step(i, state, rep)
 
         state0 = init_state(phi0, symbol, params, dealias=dealias)
-        row(0, 0.0, 0.0, initial_report(state0, symbol, params), phi0)
-        return _run_scheme(state0, symbol, params, tcfg, on_node=row)
+        row(0, state0, initial_report(state0, symbol, params))
+        return _run_scheme(state0, symbol, params, tcfg, on_step=row)[0].phi
 
 
 def _output_dir(cfg: ExperimentConfig, base_dir: str) -> str:
@@ -737,7 +742,8 @@ def run_evolution(cfg: ExperimentConfig, base_dir: str = ".") -> dict:
     pending = sorted(float(t) for t in cfg.output.dump_times)
     tol = _dump_tol(cfg.time.T)
 
-    def dump(t: float, fld: SpectralField) -> None:
+    def dump(i: int, state: StepperState, rep: StepReport) -> None:
+        t, fld = state.t, state.phi
         if not pending or t < pending[0] - tol:
             return
         while pending and t >= pending[0] - tol:
@@ -751,7 +757,7 @@ def run_evolution(cfg: ExperimentConfig, base_dir: str = ".") -> dict:
             write_pgm(path[: -len(".field")] + ".pgm", img)
 
     final = _write_energy_csv(
-        csv_path, phi0, symbol, params, cfg.model.dealias, cfg.time, on_node=dump
+        csv_path, phi0, symbol, params, cfg.model.dealias, cfg.time, on_step=dump
     )
     return {"csv": csv_path, "dumps": dumps, "final": final}
 
@@ -772,7 +778,7 @@ def run_convergence(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
     state0 = init_state(phi0, symbol, params, dealias=cfg.model.dealias)
 
     def final(**change) -> SpectralField:
-        return _run_scheme(state0, symbol, params, replace(tcfg, **change))
+        return _run_scheme(state0, symbol, params, replace(tcfg, **change))[0].phi
 
     reference = final(scheme="sav_cn_sdc", nt=ccfg.reference_nt, sweeps=max(tcfg.sweeps, 1))
     rows: List[dict] = []

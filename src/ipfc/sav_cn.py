@@ -83,6 +83,7 @@ class StepReport:
     original_energy: float
     r_value: float
     w_norm_sq: float
+    tau: float  # the step that reached the node, 0 at the initial node
 
 
 def init_state(
@@ -144,6 +145,7 @@ def _node_report(
         original_energy=grad + nu,
         r_value=sqrt_c1 + r_dev,
         w_norm_sq=w_norm_sq,
+        tau=tau,
     )
 
 
@@ -235,6 +237,8 @@ def evolve(
     """Step through the node times (uniform or not); returns (state, reports).
 
     `times` must start at the state's current time and increase strictly.
+    on_step(i, state, report), if given, is called after each step i with
+    the state's time pinned to times[i]; `sdc.sdc_solve` reports the same way.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:

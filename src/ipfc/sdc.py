@@ -7,17 +7,19 @@ equation interval by interval.  One sweep lifts the global order from two
 to four.
 
 `_refreeze` is the one place node fields become an `SdcTrajectory`: it
-stores each node's samples, its auxiliary-scalar deviation and its energy
-row, and each interval's frozen ratio coefficient.  After the predictor it
-takes them all from the stepper's states, so a predicted node costs the
-stepper's two transforms.  After a sweep it re-runs the stepper's update on
-the corrected fields, at two transforms per node.  Every state samples on
-the grid of the block's initial state, which `init_state` chose.  The sweep
-builds the node right-hand sides (one forward transform each, into a row of
-one nodes x modes array) the first time it reads a trajectory, forms the
-extrapolants' samples by linearity and costs two transforms per interval
-past the first, so a one-sweep node costs fewer than seven.  The energy rows
-of the final pass are the run's records.
+stores each node's stepper state (field, samples, auxiliary-scalar
+deviation) and energy row, and each interval's frozen ratio coefficient.
+After the predictor it takes the states from the stepper, so a predicted
+node costs the stepper's two transforms.  After a sweep it re-runs the
+stepper's update on the corrected fields, at two transforms per node.  Every
+state samples on the grid of the block's initial state, which `init_state`
+chose.  The sweep builds the node right-hand sides (one forward transform
+each, into a row of one nodes x modes array) the first time it reads a
+trajectory, forms the extrapolants' samples by linearity and costs two
+transforms per interval past the first, so a one-sweep node costs fewer
+than seven.  `sdc_solve` reports the states and energy rows of each block's
+final pass through the same `on_step(i, state, report)` callback as
+`sav_cn.evolve`, and returns `(state, reports)` as it does.
 
 Large node counts are handled by partitioning [0, T] into blocks of at most
 `block` intervals (4096 by default, at least two per block), applying
@@ -32,24 +34,16 @@ to round-off at thousands of nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from .errors import NumericalError
-from .field import PhysicalField, SpectralField, enforce_hermitian, project_mean, to_physical
+from .field import SpectralField, enforce_hermitian, project_mean, to_physical
 from .lattice import OperatorSymbol
 from .model import ModelParams, nprime, nprime_increment
-from .sav_cn import (
-    StepperState,
-    StepReport,
-    _advance,
-    _frozen_ratio,
-    evolve,
-    init_state,
-    initial_report,
-)
+from .sav_cn import StepperState, StepReport, _advance, _frozen_ratio, evolve, init_state
 
 __all__ = [
     "ChebGrid",
@@ -141,29 +135,22 @@ class SdcTrajectory:
 
     grid: ChebGrid
     phis: List[SpectralField]
-    samples: List[PhysicalField]  # collocation samples per node
-    r_devs: np.ndarray           # R - sqrt(c1) per node
+    states: List[StepperState]   # stepper state per node, sampled on the block's grid
     kappas: np.ndarray           # frozen R^{n+1/2} / sqrt(F1(fbar)) per interval
-    reports: List[StepReport]    # energy row per node
+    reports: List[StepReport]    # energy row per node past the initial one
     ws: Optional[np.ndarray] = None  # (nodes, modes): mean-free G^2 phi + N'(phi) per node
 
 
-def _start_state(start, symbol: OperatorSymbol, params: ModelParams) -> StepperState:
-    if isinstance(start, StepperState):
-        return start
-    return init_state(start, symbol, params)
-
-
-def predict(start, grid: ChebGrid, symbol: OperatorSymbol, params: ModelParams) -> SdcTrajectory:
-    """Run the Crank-Nicolson stepper over the node set and build the
-    trajectory from its states.  `start` is the initial field, or the state
-    `init_state` built from it (which chooses the sampling grid)."""
-    state = _start_state(start, symbol, params)
-    states: List[StepperState] = []
+def predict(
+    state: StepperState, grid: ChebGrid, symbol: OperatorSymbol, params: ModelParams
+) -> SdcTrajectory:
+    """Run the Crank-Nicolson stepper from `state`, at t = 0, over the node
+    set and build the trajectory from its states."""
+    states = [state]
     _, reports = evolve(
         state, grid.nodes, symbol, params, on_step=lambda i, st, report: states.append(st)
     )
-    phis = [state.phi] + [st.phi for st in states]
+    phis = [st.phi for st in states]
     return _refreeze(state, phis, grid, symbol, params, stepped=(states, reports))
 
 
@@ -185,17 +172,17 @@ def correct(
     (ebar = eps^0 = 0 on the first interval, where the bracket vanishes).
     The ratio coefficient kappa is frozen from the predictor; only the
     argument of N' sees the error.  The bracket is formed pointwise from
-    samples: those of fbar combine the stored node samples, those of ebar
-    the samples of eps^n and eps^{n-1}, taken on the same grid.  The node
-    right-hand sides, one forward transform each, are built on the first
-    sweep along `traj` and kept in `traj.ws`.
+    samples: those of fbar combine the samples the node states carry, those
+    of ebar the samples of eps^n and eps^{n-1}, taken on the same grid.  The
+    node right-hand sides, one forward transform each, are built on the
+    first sweep along `traj` and kept in `traj.ws`.
     """
     taus = traj.grid.taus
     n_t = taus.size
     g2 = symbol.g2_half
     grid0 = traj.phis[0].grid
     zero = grid0.zero_index
-    s = traj.samples
+    s = [st.samples for st in traj.states]
     if traj.ws is None:
         traj.ws = np.empty((n_t + 1, traj.phis[0].half.size), dtype=complex)
         for row, phi, p in zip(traj.ws, traj.phis, s):
@@ -234,30 +221,6 @@ def correct(
     return out
 
 
-def _restep(
-    start: StepperState,
-    phis: List[SpectralField],
-    grid: ChebGrid,
-    symbol: OperatorSymbol,
-    params: ModelParams,
-):
-    """The states and energy rows past `start` that the stepper passes
-    through when its solves land on the given node fields: each interval
-    freezes u at the extrapolant and takes the increment of R on the stored
-    fields, with the stepper's own code, so along the predictor's fields
-    this reproduces the stepper bit for bit.  Two transforms per interval."""
-    states, reports = [], []
-    state = start
-    for n in range(1, len(phis)):
-        u_c, sqrt_f1 = _frozen_ratio(state, params)
-        state, report = _advance(
-            state, u_c, sqrt_f1, phis[n], float(grid.taus[n - 1]), symbol, params
-        )
-        states.append(state)
-        reports.append(report)
-    return states, reports
-
-
 def _refreeze(
     start: StepperState,
     phis: List[SpectralField],
@@ -269,19 +232,26 @@ def _refreeze(
     """Build the trajectory along node fields phis from the block's initial
     state `start`, whose field is phis[0].
 
-    `stepped` is (states, reports) as the stepper produced them past the
-    initial node, when phis are its fields; otherwise `_restep` rebuilds
-    them."""
-    states, reports = stepped or _restep(start, phis, grid, symbol, params)
-    states = [start] + states
-    reports = [initial_report(start, symbol, params)] + reports
-    samples = [st.samples for st in states]
+    `stepped` is (states, reports) as the stepper produced them, when phis
+    are its fields.  Otherwise each interval freezes u at the extrapolant
+    and takes the increment of R on the stored fields, with the stepper's
+    own code, so along the predictor's fields this reproduces the stepper
+    bit for bit; two transforms per interval."""
+    if stepped is None:
+        states, reports = [start], []
+        for n in range(1, len(phis)):
+            u_c, sqrt_f1 = _frozen_ratio(states[-1], params)
+            state, report = _advance(
+                states[-1], u_c, sqrt_f1, phis[n], float(grid.taus[n - 1]), symbol, params
+            )
+            states.append(state)
+            reports.append(report)
+    else:
+        states, reports = stepped
     r_devs = np.array([st.r_dev for st in states])
     sqrt_f1s = np.array([st.sqrt_f1 for st in states[1:]])
     kappas = (start.sqrt_c1 + 0.5 * (r_devs[:-1] + r_devs[1:])) / sqrt_f1s
-    return SdcTrajectory(
-        grid=grid, phis=phis, samples=samples, r_devs=r_devs, kappas=kappas, reports=reports
-    )
+    return SdcTrajectory(grid=grid, phis=phis, states=states, kappas=kappas, reports=reports)
 
 
 def _sdc_blocks(n_t: int, sweeps: int, block: int) -> List[int]:
@@ -302,22 +272,22 @@ def _sdc_blocks(n_t: int, sweeps: int, block: int) -> List[int]:
 
 
 def sdc_solve(
-    start,
+    state: StepperState,
     T: float,
     n_t: int,
     symbol: OperatorSymbol,
     params: ModelParams,
     sweeps: int = 1,
     block: int = 4096,
-    node_hook: Optional[Callable[[int, float, float, StepReport, SpectralField], None]] = None,
+    on_step: Optional[Callable[[int, StepperState, StepReport], None]] = None,
 ):
-    """Predictor plus `sweeps` correction sweeps over [0, T] with n_t intervals.
+    """Predictor plus `sweeps` correction sweeps over [0, T] with n_t
+    intervals, from `state` at t = 0 as `init_state` built it; every block
+    samples on that state's grid.  Returns (state, reports) as `evolve`
+    does: the final node's state and one energy row per node past the
+    initial one, along the corrected trajectory.  With sweeps=0 this reduces
+    to plain predictor stepping on the Chebyshev nodes.
 
-    `start` is the initial field, or the state `init_state` built from it;
-    every block samples on that state's grid.  Returns (final_field,
-    records) where records is a list of (t, tau, StepReport) tuples along
-    the corrected trajectory, including the initial node.  With sweeps=0
-    this reduces to plain predictor stepping on the Chebyshev nodes.
     Horizons with more than `block` intervals are split into near-equal
     blocks chained at their endpoints; lower `block` when the per-node
     trajectory storage would not fit in memory.  Avoid very deep chains
@@ -325,38 +295,34 @@ def sdc_solve(
     in strongly damped modes, and re-seeding it across many blocks lets the
     sweep amplify what a single grid keeps at round-off.
 
-    node_hook(step, t, tau, report, phi), if given, is called for every node
-    after the initial one as soon as its block is corrected.
+    on_step(i, state, report), if given, is called for every node i after
+    the initial one as soon as its block is corrected, with the node's
+    state on the corrected trajectory and its time set to the node time.
     """
     counts = _sdc_blocks(int(n_t), int(sweeps), int(block))
-    records: List[tuple] = []
-    matrices: dict = {}
-
-    state = _start_state(start, symbol, params)
-    traj = None
+    matrices: dict = {}  # t_b is a function of count
+    reports: List[StepReport] = []
     t_offset = 0.0
     for count in counts:
-        if traj is not None:  # a later block starts at the previous block's last node
-            state = init_state(traj.phis[-1], symbol, params, dealias=state.samples.factor > 1)
+        if reports:  # a later block starts at the previous block's last node
+            state = init_state(state.phi, symbol, params, dealias=state.samples.factor > 1)
         t_b = T * count / float(n_t)
         grid_b = cheb_nodes(t_b, count)
-        key = (count, t_b)
-        if key not in matrices:
-            matrices[key] = integration_matrix(grid_b)
-        S = matrices[key]
+        if count not in matrices:
+            matrices[count] = integration_matrix(grid_b)
 
-        traj = predict(state, grid_b, symbol, params)
+        start = state
+        traj = predict(start, grid_b, symbol, params)
         for _ in range(sweeps):
-            phis = correct(traj, S, symbol, params)
+            phis = correct(traj, matrices[count], symbol, params)
             del traj  # free the old block storage before the new one is built
-            traj = _refreeze(state, phis, grid_b, symbol, params)
+            traj = _refreeze(start, phis, grid_b, symbol, params)
 
-        # A later block's first node is the previous block's last one.
-        for n in range(1 if records else 0, count + 1):
-            t_node = t_offset + float(grid_b.nodes[n])
-            tau = float(grid_b.taus[n - 1]) if n else 0.0
-            records.append((t_node, tau, traj.reports[n]))
-            if node_hook is not None and n:
-                node_hook(len(records) - 1, t_node, tau, traj.reports[n], traj.phis[n])
+        for n, report in enumerate(traj.reports, 1):
+            state = replace(traj.states[n], t=t_offset + float(grid_b.nodes[n]))
+            reports.append(report)
+            if on_step is not None:
+                on_step(len(reports), state, report)
+        del traj  # the next block keeps only this block's last state
         t_offset += t_b
-    return traj.phis[-1], records
+    return state, reports

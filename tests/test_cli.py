@@ -115,6 +115,15 @@ def test_dump_times_past_the_end_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_time_rejected_before_output(tmp_path, capsys):
+    # refused when the config is read, not after the initial energy row
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(CONFIG.replace("T = 0.05", "T = nan").replace("dump_times = 0.05\n", ""))
+    assert main(["evolve", str(cfg)]) == 1
+    assert "[time] T" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["evolve", "/nonexistent/nowhere.cfg"]) == 1
 

@@ -1,18 +1,22 @@
 """Config table properties: generated configs and the shipped ones survive
-a serialize -> parse -> serialize round trip unchanged, and the shipped ones
-serialize to the pinned texts in data/canonical."""
+a serialize -> parse -> serialize round trip unchanged, the shipped ones
+serialize to the pinned texts in data/canonical, and README's config table
+names every key."""
 
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ipfc import parse_config, serialize_config
+from ipfc.harness import _SECTIONS
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 CANONICAL_DIR = os.path.join(os.path.dirname(__file__), "data", "canonical")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 SCHEMES = ("sav_cn", "sav_cn_sdc")
 
 FLOAT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -162,3 +166,16 @@ def test_shipped_configs_canonical_text(path):
     with open(os.path.join(CANONICAL_DIR, os.path.basename(path)), "r", encoding="utf-8") as fh:
         assert canonical == fh.read()
     assert serialize_config(parse_config(canonical)) == canonical
+
+
+def test_readme_config_table_names_every_key():
+    # one row per section, `[name]` in its first cell; every parsed key is
+    # backticked in its own section's row
+    with open(README, "r", encoding="utf-8") as fh:
+        rows = dict(re.findall(r"^\| `\[(\w+)\]` \|(.*)$", fh.read(), flags=re.M))
+    assert set(rows) == set(_SECTIONS)
+    missing = {
+        name: [key for key in keys if f"`{key}`" not in rows[name]]
+        for name, (_, keys) in _SECTIONS.items()
+    }
+    assert missing == {name: [] for name in _SECTIONS}

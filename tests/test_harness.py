@@ -7,6 +7,7 @@ import pytest
 from ipfc import (
     ConfigError,
     build_grid,
+    cheb_nodes,
     build_symbol,
     dump_field,
     field_from_coeffs,
@@ -107,6 +108,25 @@ def test_parse_rejects_bad_render_values(render, match):
     text = BASE_1D + f"\n[render]\nwindow = 0 1\n{render}\n"
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("T = 0.05", "T = nan", r"\[time\] T:"),
+        ("T = 0.05", "T = inf", r"\[time\] T:"),
+        ("eps = 10.0", "eps = nan", r"\[model\] eps:"),
+        ("c1 = 100.0", "c1 = inf", r"\[model\] c1:"),
+        ("P = identity", "P = nan", r"\[projection\] P:"),
+        ("kind = sine", "kind = mode_list\nmodes = 1 inf 0.0 ; -1 inf 0.0", r"\[initial\] modes:"),
+    ],
+    ids=["T-nan", "T-inf", "eps-nan", "c1-inf", "P-nan", "mode-amplitude-inf"],
+)
+def test_parse_rejects_non_finite_numbers(old, new, match):
+    # every number is checked as it is parsed: T = nan would otherwise pass
+    # TimeCfg's T > 0 check and fail only after the first energy row
+    with pytest.raises(ConfigError, match=match):
+        parse_config(BASE_1D.replace(old, new))
 
 
 @pytest.mark.parametrize("threshold", ["0", "1.0", "2.5", "inf", "nan"])
@@ -391,6 +411,36 @@ def test_run_evolution_sdc_scheme(tmp_path):
     assert len(rows) == 10  # header + 9 nodes
     taus = [float(r.split(",")[2]) for r in rows[2:]]
     assert all(t > 0 for t in taus)
+
+
+@pytest.mark.parametrize(
+    "time",
+    ["nt = 12", *(f"nt = 12\nscheme = sav_cn_sdc\nsweeps = {s}\nblock = 4" for s in (0, 2))],
+    ids=["sav_cn", "sdc-sweeps-0", "sdc-sweeps-2"],
+)
+def test_energy_csv_node_columns_are_the_node_grid(tmp_path, time):
+    # step, t and tau are the scheme's node grid exactly: uniform nodes for
+    # sav_cn; for SDC, each block's Chebyshev nodes past the block's offset
+    cfg = parse_config(BASE_1D.replace("nt = 10", time))
+    result = run_evolution(cfg, str(tmp_path))
+    rows = [r.split(",") for r in open(result["csv"]).read().splitlines()[1:]]
+    T, nt = cfg.time.T, cfg.time.nt
+    ts, taus = [0.0], [0.0]
+    if cfg.time.scheme == "sav_cn":
+        times = np.linspace(0.0, T, nt + 1)
+        ts += [float(t) for t in times[1:]]
+        taus += [float(times[i] - times[i - 1]) for i in range(1, nt + 1)]
+    else:
+        offset, count = 0.0, 4
+        t_b = T * count / float(nt)
+        for _ in range(nt // count):
+            g = cheb_nodes(t_b, count)
+            ts += [offset + float(g.nodes[n]) for n in range(1, count + 1)]
+            taus += [float(g.taus[n - 1]) for n in range(1, count + 1)]
+            offset += t_b
+    assert [int(r[0]) for r in rows] == list(range(nt + 1))
+    assert [float(r[1]) for r in rows] == ts
+    assert [float(r[2]) for r in rows] == taus
 
 
 def test_run_convergence_rates(tmp_path):

@@ -110,5 +110,5 @@ def test_corrected_trajectory_samples_match_fields(T, c1, dealias, seed):
     traj = predict(state, g, symbol, params)
     phis = correct(traj, integration_matrix(g), symbol, params)
     corrected = _refreeze(state, phis, g, symbol, params)
-    for fld, samples in zip(corrected.phis, corrected.samples):
-        _assert_samples_match(fld, samples, dealias)
+    for st_ in corrected.states:
+        _assert_samples_match(st_.phi, st_.samples, dealias)

@@ -4,6 +4,7 @@ import pytest
 from ipfc import (
     build_symbol,
     cheb_nodes,
+    cn_step,
     correct,
     evolve,
     init_state,
@@ -81,11 +82,10 @@ def test_integration_matrix_many_nodes(nt):
 def test_predict_zero_data(bench_1d):
     spec, grid, symbol, params = bench_1d
     g = cheb_nodes(0.1, 6)
-    traj = predict(zeros_field(grid), g, symbol, params)
+    traj = predict(init_state(zeros_field(grid), symbol, params), g, symbol, params)
     assert all(norm_ap(p) == 0.0 for p in traj.phis)
-    np.testing.assert_allclose(
-        traj.r_devs * (2 * np.sqrt(params.c1) + traj.r_devs), 0.0, atol=1e-12
-    )
+    r_devs = np.array([st.r_dev for st in traj.states])
+    np.testing.assert_allclose(r_devs * (2 * np.sqrt(params.c1) + r_devs), 0.0, atol=1e-12)
 
 
 def test_predict_matches_evolve_bitwise(bench_1d, rng):
@@ -93,7 +93,7 @@ def test_predict_matches_evolve_bitwise(bench_1d, rng):
     spec, grid, symbol, params = bench_1d
     phi0 = random_field(grid, rng, scale=0.2)
     g = cheb_nodes(0.05, 8)
-    traj = predict(phi0, g, symbol, params)
+    traj = predict(init_state(phi0, symbol, params), g, symbol, params)
 
     states = [init_state(phi0, symbol, params)]
     _, reports = evolve(
@@ -101,11 +101,11 @@ def test_predict_matches_evolve_bitwise(bench_1d, rng):
     )
     for phi, st in zip(traj.phis, states):
         np.testing.assert_array_equal(phi.coeffs, st.phi.coeffs)
-    assert list(traj.r_devs) == [st.r_dev for st in states]
-    assert traj.reports[1:] == reports
+    assert [st.r_dev for st in traj.states] == [st.r_dev for st in states]
+    assert traj.reports == reports
 
 
-def test_restep_reproduces_predictor_bitwise(bench_1d, rng):
+def test_refreeze_reproduces_predictor_bitwise(bench_1d, rng):
     # re-running the stepper's update on the predictor's own fields rebuilds
     # the trajectory the predictor took from the stepper, bit for bit
     from ipfc.sdc import _refreeze
@@ -113,16 +113,16 @@ def test_restep_reproduces_predictor_bitwise(bench_1d, rng):
     spec, grid, symbol, params = bench_1d
     phi0 = random_field(grid, rng, scale=0.2)
     g = cheb_nodes(0.05, 8)
-    traj = predict(phi0, g, symbol, params)
+    traj = predict(init_state(phi0, symbol, params), g, symbol, params)
     rebuilt = _refreeze(init_state(phi0, symbol, params), traj.phis, g, symbol, params)
     S = integration_matrix(g)
     for t in (traj, rebuilt):
         correct(t, S, symbol, params)
     np.testing.assert_array_equal(rebuilt.ws, traj.ws)
-    np.testing.assert_array_equal(rebuilt.r_devs, traj.r_devs)
+    assert [st.r_dev for st in rebuilt.states] == [st.r_dev for st in traj.states]
     np.testing.assert_array_equal(rebuilt.kappas, traj.kappas)
-    for a, b in zip(rebuilt.samples, traj.samples):
-        np.testing.assert_array_equal(a.values, b.values)
+    for a, b in zip(rebuilt.states, traj.states):
+        np.testing.assert_array_equal(a.samples.values, b.samples.values)
     assert rebuilt.reports == traj.reports
 
 
@@ -130,7 +130,7 @@ def test_correct_zero_predictor_stays_zero(bench_1d):
     spec, grid, symbol, params = bench_1d
     g = cheb_nodes(0.1, 6)
     S = integration_matrix(g)
-    traj = predict(zeros_field(grid), g, symbol, params)
+    traj = predict(init_state(zeros_field(grid), symbol, params), g, symbol, params)
     out = correct(traj, S, symbol, params)
     assert all(norm_ap(p) == 0.0 for p in out)
 
@@ -148,7 +148,8 @@ def test_correct_linear_diagonal_oracle():
     T = 0.4
     g = cheb_nodes(T, 16)
     S = integration_matrix(g)
-    traj = predict(phi0, g, symbol, params)
+    state0 = init_state(phi0, symbol, params)
+    traj = predict(state0, g, symbol, params)
     out = correct(traj, S, symbol, params)
 
     rate = grid.unfold(symbol.g2_half).ravel() + params.eps
@@ -160,8 +161,8 @@ def test_correct_linear_diagonal_oracle():
 
     # the sweep limit is floor-limited by round-off of the tiny working
     # amplitude (~1e-16 absolute), well below the one-sweep error
-    final, _ = sdc_solve(phi0, T, 16, symbol, params, sweeps=6)
-    err_limit = np.abs(final.coeffs.ravel() - exact).max()
+    final, _ = sdc_solve(state0, T, 16, symbol, params, sweeps=6)
+    err_limit = np.abs(final.phi.coeffs.ravel() - exact).max()
     assert err_limit < 1e-6 * exact_scale
 
 
@@ -170,7 +171,7 @@ def test_correction_keeps_zero_mode(bench_1d, rng):
     phi0 = random_field(grid, rng, scale=0.2)
     g = cheb_nodes(0.05, 8)
     S = integration_matrix(g)
-    traj = predict(phi0, g, symbol, params)
+    traj = predict(init_state(phi0, symbol, params), g, symbol, params)
     for p in correct(traj, S, symbol, params):
         assert abs(p.coeffs.ravel()[grid.zero_index]) <= 1e-13
 
@@ -182,7 +183,7 @@ def test_correct_non_finite_raises_numerical_error(bench_1d, rng):
     phi0 = random_field(grid, rng, scale=0.2)
     g = cheb_nodes(0.05, 8)
     S = integration_matrix(g)
-    traj = predict(phi0, g, symbol, params)
+    traj = predict(init_state(phi0, symbol, params), g, symbol, params)
     traj.kappas[3] = np.nan
     with pytest.raises(NumericalError, match="zero mode"):
         correct(traj, S, symbol, params)
@@ -192,10 +193,11 @@ def test_sdc_solve_zero_sweeps_is_predictor(bench_1d, rng):
     spec, grid, symbol, params = bench_1d
     phi0 = random_field(grid, rng, scale=0.2)
     g = cheb_nodes(0.05, 8)
-    traj = predict(phi0, g, symbol, params)
-    final, records = sdc_solve(phi0, 0.05, 8, symbol, params, sweeps=0)
-    np.testing.assert_array_equal(final.coeffs, traj.phis[-1].coeffs)
-    assert len(records) == 9
+    state0 = init_state(phi0, symbol, params)
+    traj = predict(state0, g, symbol, params)
+    final, reports = sdc_solve(state0, 0.05, 8, symbol, params, sweeps=0)
+    np.testing.assert_array_equal(final.phi.coeffs, traj.phis[-1].coeffs)
+    assert len(reports) == 8
 
 
 def test_sdc_order_lift_quick():
@@ -203,12 +205,12 @@ def test_sdc_order_lift_quick():
     spec, grid = grid_1d(32)
     symbol = build_symbol(spec, grid, Q_BENCH)
     params = params_bench()
-    phi0 = sine_field(grid)
+    state0 = init_state(sine_field(grid), symbol, params)
     T = 0.2
-    ref, _ = sdc_solve(phi0, T, 512, symbol, params, sweeps=1)
+    ref = sdc_solve(state0, T, 512, symbol, params, sweeps=1)[0].phi
     errs = []
     for nt in (16, 32, 64):
-        fin, _ = sdc_solve(phi0, T, nt, symbol, params, sweeps=1)
+        fin = sdc_solve(state0, T, nt, symbol, params, sweeps=1)[0].phi
         errs.append(norm_ap(fin - ref))
     r1 = np.log2(errs[0] / errs[1])
     r2 = np.log2(errs[1] / errs[2])
@@ -220,11 +222,11 @@ def test_sdc_blocked_accuracy_scale(bench_1d):
     # caps their accuracy near the sum of the squared first intervals; still
     # far better than the uncorrected predictor
     spec, grid, symbol, params = bench_1d
-    phi0 = sine_field(grid, 0.5)
+    state0 = init_state(sine_field(grid, 0.5), symbol, params)
     T = 0.1
-    ref, _ = sdc_solve(phi0, T, 256, symbol, params, sweeps=1)
-    blocked, _ = sdc_solve(phi0, T, 32, symbol, params, sweeps=1, block=8)
-    pred, _ = sdc_solve(phi0, T, 32, symbol, params, sweeps=0)
+    ref = sdc_solve(state0, T, 256, symbol, params, sweeps=1)[0].phi
+    blocked = sdc_solve(state0, T, 32, symbol, params, sweeps=1, block=8)[0].phi
+    pred = sdc_solve(state0, T, 32, symbol, params, sweeps=0)[0].phi
     e_blocked = norm_ap(blocked - ref)
     e_pred = norm_ap(pred - ref)
     assert e_blocked < 1e-5
@@ -233,32 +235,35 @@ def test_sdc_blocked_accuracy_scale(bench_1d):
 
 def test_sdc_multi_sweep_not_worse(bench_1d):
     spec, grid, symbol, params = bench_1d
-    phi0 = sine_field(grid, 0.5)
+    state0 = init_state(sine_field(grid, 0.5), symbol, params)
     T = 0.1
-    ref, _ = sdc_solve(phi0, T, 512, symbol, params, sweeps=1)
-    one, _ = sdc_solve(phi0, T, 16, symbol, params, sweeps=1)
-    two, _ = sdc_solve(phi0, T, 16, symbol, params, sweeps=2)
+    ref = sdc_solve(state0, T, 512, symbol, params, sweeps=1)[0].phi
+    one = sdc_solve(state0, T, 16, symbol, params, sweeps=1)[0].phi
+    two = sdc_solve(state0, T, 16, symbol, params, sweeps=2)[0].phi
     assert norm_ap(two - ref) <= 2.0 * norm_ap(one - ref)
 
 
 def test_sdc_records_shape(bench_1d, rng):
     spec, grid, symbol, params = bench_1d
-    phi0 = random_field(grid, rng, scale=0.2)
-    final, records = sdc_solve(phi0, 0.05, 12, symbol, params, sweeps=1, block=4)
-    ts = [t for t, _, _ in records]
-    assert len(records) == 13  # 12 intervals + initial node, blocks deduped
+    state0 = init_state(random_field(grid, rng, scale=0.2), symbol, params)
+    ts = [state0.t]
+    final, reports = sdc_solve(
+        state0, 0.05, 12, symbol, params, sweeps=1, block=4,
+        on_step=lambda i, st, rep: ts.append(st.t),
+    )
+    assert len(reports) == 12  # one per interval, blocks deduped
     assert ts[0] == 0.0
     assert ts[-1] == pytest.approx(0.05)
     assert all(np.diff(ts) > 0)
 
 
-def test_sdc_node_hook_streams_per_block(bench_1d, rng, monkeypatch):
-    # each block's nodes reach the hook before the next block is predicted,
-    # so a caller need not hold more than one block of fields
+def test_sdc_on_step_streams_per_block(bench_1d, rng, monkeypatch):
+    # each block's nodes reach the callback before the next block is
+    # predicted, so a caller need not hold more than one block of fields
     import ipfc.sdc as sdc_mod
 
     spec, grid, symbol, params = bench_1d
-    phi0 = random_field(grid, rng, scale=0.2)
+    state0 = init_state(random_field(grid, rng, scale=0.2), symbol, params)
     blocks_started = []
     real_predict = sdc_mod.predict
 
@@ -268,14 +273,42 @@ def test_sdc_node_hook_streams_per_block(bench_1d, rng, monkeypatch):
 
     monkeypatch.setattr(sdc_mod, "predict", counting_predict)
     seen = []
-    final, records = sdc_solve(
-        phi0, 0.05, 12, symbol, params, sweeps=1, block=4,
-        node_hook=lambda step, t, tau, rep, phi: seen.append((step, t, tau, rep, phi, len(blocks_started))),
+    final, reports = sdc_solve(
+        state0, 0.05, 12, symbol, params, sweeps=1, block=4,
+        on_step=lambda i, st, rep: seen.append((i, st, rep, len(blocks_started))),
     )
     assert [s[0] for s in seen] == list(range(1, 13))
-    assert [s[1:4] for s in seen] == records[1:]
-    assert [s[5] for s in seen] == [1] * 4 + [2] * 4 + [3] * 4
-    assert seen[-1][4] is final
+    assert [s[2] for s in seen] == reports
+    assert [s[3] for s in seen] == [1] * 4 + [2] * 4 + [3] * 4
+    assert seen[-1][1] is final
+
+
+@pytest.mark.parametrize("sweeps", [0, 2])
+@pytest.mark.parametrize("dealias", [False, True])
+def test_sdc_on_step_states_continue_the_run(bench_1d, rng, sweeps, dealias):
+    # each reported state is a full stepper state on the corrected
+    # trajectory, at its node time: stepping can go on from it
+    spec, grid, symbol, params = bench_1d
+    state0 = init_state(random_field(grid, rng, scale=0.2), symbol, params, dealias=dealias)
+    seen = []
+    final, _ = sdc_solve(
+        state0, 0.05, 12, symbol, params, sweeps=sweeps, block=4,
+        on_step=lambda i, st, rep: seen.append(st),
+    )
+    assert len(seen) == 12 and seen[-1] is final
+    prev = state0
+    for st in seen:
+        for fld, samples in ((st.phi, st.samples), (st.phi_prev, st.prev_samples)):
+            exact = to_physical(fld, dealias).values
+            assert np.abs(samples.values - exact).max() <= 1e-13 * np.abs(exact).max()
+        assert st.phi_prev is prev.phi
+        assert st.t > prev.t
+        prev = st
+    assert final.t == pytest.approx(0.05, rel=1e-14)
+    _, report = cn_step(final, 1e-3, symbol, params)
+    assert np.isfinite(
+        [report.modified_energy, report.original_energy, report.r_value, report.w_norm_sq]
+    ).all()
 
 
 def _block_trajectories(monkeypatch):
@@ -302,27 +335,25 @@ def test_sdc_records_match_node_fields(bench_1d, rng, monkeypatch, sweeps, n_t, 
     phi0 = random_field(grid, rng, scale=0.2)
     built = _block_trajectories(monkeypatch)
     phis = [phi0]
-    _, records = sdc_solve(
-        phi0, 0.05, n_t, symbol, params, sweeps=sweeps, block=block,
-        node_hook=lambda step, t, tau, rep, phi: phis.append(phi),
+    _, reports = sdc_solve(
+        init_state(phi0, symbol, params), 0.05, n_t, symbol, params, sweeps=sweeps, block=block,
+        on_step=lambda i, st, rep: phis.append(st.phi),
     )
+    assert len(reports) == len(phis) - 1 == n_t
     n_blocks = -(-n_t // block)
     assert len(built) == n_blocks * (sweeps + 1)
     finals = built[sweeps :: sweeps + 1]
     per_block = n_t // n_blocks
     sqrt_c1 = np.sqrt(params.c1)
-    for i, ((t, tau, rep), phi) in enumerate(zip(records, phis)):
-        b, n = (0, 0) if i == 0 else divmod(i - 1, per_block)
-        n = n + 1 if i else 0
+    for i, (rep, phi) in enumerate(zip(reports, phis[1:]), 1):
+        b, n = divmod(i - 1, per_block)
         traj = finals[b]
+        n += 1
         assert traj.phis[n] is phi
         assert rep.original_energy == energy(phi, symbol, params)
-        if i == 0:
-            assert rep.w_norm_sq == 0.0
-        else:
-            diff = phi - phis[i - 1]
-            assert rep.w_norm_sq == inner_ap(diff, diff) / (tau * tau)
-        r_dev = float(traj.r_devs[n])
+        diff = phi - phis[i - 1]
+        assert rep.w_norm_sq == inner_ap(diff, diff) / (rep.tau * rep.tau)
+        r_dev = traj.states[n].r_dev
         assert rep.r_value == sqrt_c1 + r_dev
         grad = energy(phi, symbol, params) - bulk_mean(to_physical(phi), params)
         assert rep.modified_energy == pytest.approx(grad + r_dev * (2 * sqrt_c1 + r_dev), rel=1e-13)
@@ -340,9 +371,10 @@ def test_later_blocks_keep_the_refined_grid(bench_1d, rng, monkeypatch, sweeps):
     sdc_solve(state0, 0.05, 6, symbol, params, sweeps=sweeps, block=2)
     assert len(built) == 3 * (sweeps + 1)
     for traj in built:
-        for phi, samples in zip(traj.phis, traj.samples):
+        for st in traj.states:
+            samples = st.samples
             assert samples.factor == 2
-            exact = to_physical(phi, True).values
+            exact = to_physical(st.phi, True).values
             assert np.abs(samples.values - exact).max() <= 1e-13 * np.abs(samples.values).max()
 
 
@@ -352,7 +384,7 @@ def test_sdc_validation(bench_1d, rng, monkeypatch):
     import ipfc.sdc as sdc_mod
 
     spec, grid, symbol, params = bench_1d
-    phi0 = random_field(grid, rng, scale=0.2)
+    phi0 = init_state(random_field(grid, rng, scale=0.2), symbol, params)
     calls = []
     monkeypatch.setattr(sdc_mod, "predict", lambda *a, **k: calls.append(None))
     with pytest.raises(ValueError):
