@@ -8,7 +8,8 @@ mean spatial inner product with no extra factors.
 Fields are real, so a field stores only the half layout of its
 coefficients (see `IndexGrid`) and transforms are real-data ones.  Full
 layout arrays cross in one place each way: `field_from_coeffs` folds them
-in, `SpectralField.coeffs` unfolds a field for reading.
+in, `SpectralField.coeffs` unfolds a field for reading.  Fields are made
+exactly conjugate-symmetric by `field_from_coeffs` and `to_spectral`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "norm_ap",
     "to_physical",
     "to_spectral",
-    "samples_to_spectral",
     "poly_samples",
     "pointwise_poly",
     "pointwise_poly_mean",
@@ -225,13 +225,13 @@ def to_physical(f: SpectralField, dealias: bool = False) -> PhysicalField:
 
 
 def to_spectral(p: PhysicalField) -> SpectralField:
-    """Forward real-data transform of collocation values to coefficients;
-    samples on a refined grid are truncated back to the grid's modes."""
+    """Forward real-data transform of collocation values to coefficients,
+    truncated to the grid's modes from a refined grid, then symmetrized."""
     half = np.fft.rfftn(p.values, axes=tuple(range(p.values.ndim)))
     half /= p.values.size
-    if p.factor == 1:
-        return SpectralField(p.grid, half)
-    return SpectralField(p.grid, _extract_truncated(half, p.grid.sizes, p.factor))
+    if p.factor > 1:
+        half = _extract_truncated(half, p.grid.sizes, p.factor)
+    return enforce_hermitian(SpectralField(p.grid, half))
 
 
 # -- pseudospectral products -------------------------------------------------
@@ -294,11 +294,6 @@ def _validate_terms(terms):
     return terms
 
 
-def samples_to_spectral(p: PhysicalField) -> SpectralField:
-    """Coefficients of (possibly refined) samples, re-symmetrized."""
-    return enforce_hermitian(to_spectral(p))
-
-
 def poly_samples(p: PhysicalField, terms) -> PhysicalField:
     """Pointwise polynomial of samples; `terms` as in `pointwise_poly`."""
     return PhysicalField(p.grid, poly_eval(p.values, terms), p.factor)
@@ -310,10 +305,10 @@ def pointwise_poly(f: SpectralField, terms, dealias: bool = False) -> SpectralFi
     `terms` is a sequence of (exponent, coefficient) pairs with exponents in
     1..4.  With `dealias` the product is formed on the grid refined by
     PAD_FACTOR, which makes results exact truncated convolutions for total
-    degree up to PAD_FACTOR + 1.  The result is re-symmetrized.
+    degree up to PAD_FACTOR + 1.
     """
     terms = _validate_terms(terms)
-    return samples_to_spectral(poly_samples(to_physical(f, dealias), terms))
+    return to_spectral(poly_samples(to_physical(f, dealias), terms))
 
 
 def pointwise_poly_mean(p: PhysicalField, terms) -> float:

@@ -30,7 +30,8 @@ from .field import (
     norm_ap,
     project_mean,
 )
-from .lattice import IndexGrid, OperatorSymbol, ProjectionSpec, build_grid, build_symbol, sample_real_space
+from .lattice import IndexGrid, OperatorSymbol, ProjectionSpec, build_grid, build_symbol
+from .lattice import raster_axes, sample_real_space
 from .model import ModelParams
 from .sav_cn import StepReport, StepperState, evolve, init_state, initial_report
 from .sdc import _sdc_blocks, sdc_solve
@@ -55,6 +56,7 @@ __all__ = [
 ENERGY_HEADER = "step,t,tau,original_energy,modified_energy,R,w_norm_sq"
 SPECTRUM_HEADER = "kx,ky,amplitude"
 RATES_HEADER = "scheme,NT,error,rate"
+NOISE_G2_MAX = 25.0
 
 
 def dodecagonal_projection() -> np.ndarray:
@@ -169,6 +171,15 @@ class _Section:
         pass
 
 
+def _rule(section: str, rule, *args):
+    """rule(*args): a library check or builder run on config values, its
+    ValueError raised as a ConfigError of the section."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 @dataclass
 class ProjectionCfg(_Section):
     d: int
@@ -209,10 +220,7 @@ class TimeCfg(_Section):
         if self.T <= 0 or self.nt < 1:
             raise ConfigError("[time] needs T > 0 and nt >= 1")
         if self.scheme == "sav_cn_sdc":
-            try:
-                _sdc_blocks(self.nt, self.sweeps, self.block)
-            except ValueError as exc:
-                raise ConfigError(f"[time] {exc}") from None
+            _rule("time", _sdc_blocks, self.nt, self.sweeps, self.block)
 
 
 @dataclass
@@ -266,13 +274,8 @@ class RenderCfg(_Section):
     floor_rel: float = 1e-8
 
     def check(self, cfg) -> None:
-        d = cfg.projection.d
-        if len(self.window) != 2 * d or len(self.resolution) != d:
-            raise ConfigError(f"[render] window needs {2 * d} numbers and resolution {d}")
-        if any(r < 1 for r in self.resolution):
-            raise ConfigError("[render] resolution entries must be >= 1")
-        if not 0 <= self.floor_rel < 1:
-            raise ConfigError("[render] floor_rel must be in [0, 1): at 1 or more it drops every mode")
+        _rule("render", raster_axes, cfg.projection.d, self.window, self.resolution)
+        _rule("render", _render_rule, cfg.projection.d, self.floor_rel)
 
 
 @dataclass
@@ -280,8 +283,7 @@ class SpectrumCfg(_Section):
     threshold_rel: float = 0.1
 
     def check(self, cfg) -> None:
-        if not 0 < self.threshold_rel < 1:
-            raise ConfigError("[spectrum] threshold_rel must be in (0, 1): at 1 or more it drops every mode")
+        _rule("spectrum", _spectrum_rule, self.threshold_rel)
 
 
 @dataclass
@@ -310,10 +312,7 @@ class ConvergenceCfg(_Section):
         if "sav_cn_sdc" in self.schemes:
             runs += [(nt, tcfg.sweeps) for nt in self.nt_list]
         for nt, sweeps in runs:
-            try:
-                _sdc_blocks(nt, sweeps, tcfg.block)
-            except ValueError as exc:
-                raise ConfigError(f"[convergence] {exc}") from None
+            _rule("convergence", _sdc_blocks, nt, sweeps, tcfg.block)
 
 
 @dataclass
@@ -329,6 +328,7 @@ class ScalesCfg(_Section):
     def check(self, cfg) -> None:
         if any(m < 1 for m in self.m_list):
             raise ConfigError("[scales] m_list entries must be >= 1")
+        _rule("scales", _spectrum_rule, cfg.spectrum.threshold_rel, cfg.projection.d)
 
 
 @dataclass
@@ -347,27 +347,17 @@ class ExperimentConfig:
 
     def build_spec(self) -> ProjectionSpec:
         p = self.projection
-        try:
-            return ProjectionSpec(d=p.d, n=p.n, P=p.P, B=p.B)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _rule("projection", ProjectionSpec, p.d, p.n, p.P, p.B)
 
     def build_grid(self, spec: Optional[ProjectionSpec] = None) -> IndexGrid:
-        spec = spec or self.build_spec()
-        try:
-            return build_grid(spec, self.projection.sizes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _rule("projection", build_grid, spec or self.build_spec(), self.projection.sizes)
 
     def build_params(self, q: Optional[Sequence[float]] = None) -> ModelParams:
         m = self.model
         q = tuple(q) if q is not None else m.q
         if q is None:
             raise ConfigError("[model] q is required for this command")
-        try:
-            return ModelParams(q=q, eps=m.eps, alpha=m.alpha, c1=m.c1)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _rule("model", ModelParams, q, m.eps, m.alpha, m.c1)
 
 
 # section -> (dataclass, {key: (parse, format)}), both in file order
@@ -535,11 +525,9 @@ def field_from_modes(grid: IndexGrid, modes) -> SpectralField:
     return project_mean(field_from_coeffs(grid, c))
 
 
-def banded_noise_field(
-    symbol: OperatorSymbol, scale: float, seed: int, g2_max: float = 25.0
-) -> SpectralField:
+def banded_noise_field(symbol: OperatorSymbol, scale: float, seed: int) -> SpectralField:
     """Deterministic conjugate-symmetric noise on the symbol's grid,
-    restricted to the dynamically active shells where the symbol is small.
+    restricted to the dynamically active shells where g^2 <= NOISE_G2_MAX.
 
     Strongly damped modes are excluded: the midpoint stepper rings on their
     content instead of removing it, which would swamp the energy diagnostics.
@@ -547,7 +535,7 @@ def banded_noise_field(
     grid = symbol.grid
     rng = np.random.default_rng(seed)
     c = scale * (rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes))
-    noise = field_from_coeffs(grid, c).half * (symbol.g2_half <= g2_max)
+    noise = field_from_coeffs(grid, c).half * (symbol.g2_half <= NOISE_G2_MAX)
     return project_mean(SpectralField(grid, noise))
 
 
@@ -557,18 +545,13 @@ def build_initial(cfg: ExperimentConfig, grid: IndexGrid, base_dir: str = ".") -
     icfg = cfg.initial
     if icfg.kind == "sine":
         e1 = tuple([1] + [0] * (len(grid.sizes) - 1))
+        plus, minus = (_rule("initial", grid.flat_index, h) for h in (e1, tuple(-v for v in e1)))
         c = np.zeros(grid.sizes, dtype=complex)
-        try:
-            c.ravel()[grid.flat_index(e1)] = -0.5j * icfg.amplitude
-            c.ravel()[grid.flat_index(tuple(-v for v in e1))] = 0.5j * icfg.amplitude
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        c.ravel()[plus] = -0.5j * icfg.amplitude
+        c.ravel()[minus] = 0.5j * icfg.amplitude
         return field_from_coeffs(grid, c)
     if icfg.kind == "mode_list":
-        try:
-            return field_from_modes(grid, icfg.modes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _rule("initial", field_from_modes, grid, icfg.modes)
     path = os.path.join(base_dir, icfg.file)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -610,6 +593,14 @@ def _invariant_under(radii, angles, amps, dtheta) -> bool:
     return True
 
 
+def _spectrum_rule(threshold_rel: float, d: Optional[int] = None) -> None:
+    """Raise ValueError unless threshold_rel and d (when given) suit `spectrum_report`."""
+    if not 0 < threshold_rel < 1:
+        raise ValueError("threshold_rel must be in (0, 1): at 1 or more it drops every mode")
+    if d is not None and d > 2:
+        raise ValueError(f"symmetry classification supports d <= 2 only, got d = {d}")
+
+
 def spectrum_report(fld: SpectralField, threshold_rel: float):
     """Peaks above threshold_rel * max amplitude, at their projected
     wavevectors, and the symmetry verdict.
@@ -618,8 +609,7 @@ def spectrum_report(fld: SpectralField, threshold_rel: float):
     one-dimensional fields, rows sorted lexicographically for deterministic
     output.
     """
-    if not 0 < threshold_rel < 1:
-        raise ValueError("threshold must be in (0, 1): at 1 or more it drops every mode")
+    _spectrum_rule(threshold_rel, fld.grid.spec.d)
     flat = np.abs(fld.coeffs.ravel())
     mx = float(flat.max()) if flat.size else 0.0
     if mx <= 0.0:
@@ -627,13 +617,7 @@ def spectrum_report(fld: SpectralField, threshold_rel: float):
     keep = np.flatnonzero(flat > threshold_rel * mx)
     kv = fld.grid.wavevectors(keep)
     amps = flat[keep]
-    d = kv.shape[1]
-    if d == 1:
-        kxy = np.column_stack([kv[:, 0], np.zeros(kv.shape[0])])
-    elif d == 2:
-        kxy = kv.copy()
-    else:
-        raise ValueError("symmetry classification supports d <= 2 only")
+    kxy = kv if kv.shape[1] == 2 else np.column_stack([kv[:, 0], np.zeros(kv.shape[0])])
     order = np.lexsort((kxy[:, 1], kxy[:, 0]))
     kxy = kxy[order]
     amps = amps[order]
@@ -648,12 +632,19 @@ def write_spectrum_csv(path: str, kxy: np.ndarray, amps: np.ndarray) -> None:
             fh.write(f"{_fmt_float(kx)},{_fmt_float(ky)},{_fmt_float(a)}\n")
 
 
+def _render_rule(d: int, floor_rel: float) -> None:
+    """Raise ValueError unless d and floor_rel suit `render_field`."""
+    if d > 2:
+        raise ValueError(f"graymaps need d <= 2, got d = {d}")
+    if not 0 <= floor_rel < 1:
+        raise ValueError("floor_rel must be in [0, 1): at 1 or more it drops every mode")
+
+
 def render_field(fld: SpectralField, window, resolution, floor_rel: float = 1e-8) -> np.ndarray:
     """Grayscale raster of the field over the window: linear map of the
     sampled range onto 0..255, a degenerate range maps to uniform 128.
     Modes at or below floor_rel times the largest amplitude are dropped."""
-    if not 0 <= floor_rel < 1:
-        raise ValueError("floor_rel must be in [0, 1): at 1 or more it drops every mode")
+    _render_rule(fld.grid.spec.d, floor_rel)
     cmax = float(np.abs(fld.half).max())
     floor = floor_rel * cmax
     raster = sample_real_space(fld, window, resolution, amplitude_floor=floor)
@@ -669,6 +660,8 @@ def write_pgm(path: str, raster: np.ndarray) -> None:
     """Binary P5 graymap.  For 2-d rasters the first raster axis becomes the
     image column so a field varying along the first window axis renders as
     vertical stripes; 1-d rasters become a single-row strip."""
+    if raster.ndim > 2:
+        raise ValueError(f"a graymap needs a raster of at most 2 axes, got {raster.ndim}")
     img = raster.T if raster.ndim == 2 else raster.reshape(1, -1)
     height, width = img.shape
     with open(path, "wb") as fh:

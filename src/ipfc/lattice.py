@@ -223,12 +223,12 @@ def _injectivity_violation(spec: ProjectionSpec, sizes, tol: float):
     return h1, h2, float(np.sqrt(best))
 
 
-def build_grid(spec: ProjectionSpec, sizes, injectivity_tol: float = INJECTIVITY_TOL) -> IndexGrid:
+def build_grid(spec: ProjectionSpec, sizes) -> IndexGrid:
     """Build the truncated index grid and validate the projection on it.
 
     Rejects odd axis sizes and projection specs under which two distinct
-    retained modes project to the same wavevector (within tolerance), which
-    would silently alias them.
+    retained modes project to within INJECTIVITY_TOL of the same wavevector,
+    which would silently alias them.
     """
     sizes = tuple(int(s) for s in np.atleast_1d(sizes))
     if len(sizes) != spec.n:
@@ -237,7 +237,7 @@ def build_grid(spec: ProjectionSpec, sizes, injectivity_tol: float = INJECTIVITY
         if s < 2 or s % 2 != 0:
             raise ValueError(f"axis sizes must be even and >= 2, got {s}")
 
-    hit = _injectivity_violation(spec, sizes, injectivity_tol)
+    hit = _injectivity_violation(spec, sizes, INJECTIVITY_TOL)
     if hit is not None:
         h1, h2, dist = hit
         raise ValueError(
@@ -248,18 +248,37 @@ def build_grid(spec: ProjectionSpec, sizes, injectivity_tol: float = INJECTIVITY
     return IndexGrid(spec=spec, sizes=sizes)
 
 
-def build_symbol(spec: ProjectionSpec, grid: IndexGrid, q) -> OperatorSymbol:
-    """Per-mode values of prod_j (q_j^2 - |k_h|^2) and its square, in the
-    half layout."""
+def length_scales(q) -> tuple:
+    """q as a tuple of floats, after checking it holds at least one length
+    scale and that all are positive."""
     q = tuple(float(v) for v in np.atleast_1d(q))
-    if len(q) == 0:
+    if not q:
         raise ValueError("need at least one length scale")
     if any(v <= 0 for v in q):
         raise ValueError("length scales must be positive")
+    return q
+
+
+def build_symbol(spec: ProjectionSpec, grid: IndexGrid, q) -> OperatorSymbol:
+    """Per-mode values of prod_j (q_j^2 - |k_h|^2) and its square, in the
+    half layout."""
+    q = length_scales(q)
     g = np.ones_like(grid.ksq)
     for qj in q:
         g = g * (qj * qj - grid.ksq)
     return OperatorSymbol(grid=grid, q=q, g_half=g, g2_half=g * g)
+
+
+def raster_axes(d: int, window, resolution):
+    """The d (lo, hi) window pairs and d point counts of a raster over a
+    d-dimensional projection, after checking their number and the counts."""
+    window = np.ravel(np.asarray(window, dtype=float))
+    resolution = tuple(int(r) for r in np.atleast_1d(resolution))
+    if window.size != 2 * d or len(resolution) != d:
+        raise ValueError(f"window needs {2 * d} numbers and resolution {d}")
+    if any(r < 1 for r in resolution):
+        raise ValueError("resolution entries must be >= 1")
+    return [(float(lo), float(hi)) for lo, hi in window.reshape(d, 2)], resolution
 
 
 def sample_real_space(fld, window, resolution, amplitude_floor: float = 0.0) -> np.ndarray:
@@ -278,15 +297,9 @@ def sample_real_space(fld, window, resolution, amplitude_floor: float = 0.0) -> 
     window[j].
     """
     grid = fld.grid
-    d = grid.spec.d
     if amplitude_floor < 0:
         raise ValueError("amplitude_floor must be >= 0")
-    window = [(float(lo), float(hi)) for lo, hi in np.reshape(window, (-1, 2))]
-    resolution = tuple(int(r) for r in np.atleast_1d(resolution))
-    if len(window) != d or len(resolution) != d:
-        raise ValueError(f"window and resolution must each have {d} axes")
-    if any(r < 1 for r in resolution):
-        raise ValueError("resolution entries must be >= 1")
+    window, resolution = raster_axes(grid.spec.d, window, resolution)
 
     flat = fld.coeffs.ravel()
     keep = np.flatnonzero(np.abs(flat) > amplitude_floor)

@@ -20,10 +20,10 @@ from .field import (
     inner_ap,
     pointwise_poly_mean,
     poly_samples,
-    samples_to_spectral,
     to_physical,
+    to_spectral,
 )
-from .lattice import OperatorSymbol
+from .lattice import OperatorSymbol, length_scales
 
 __all__ = [
     "ModelParams",
@@ -47,14 +47,9 @@ class ModelParams:
     c1: float = 1e16
 
     def __post_init__(self) -> None:
-        q = tuple(float(v) for v in np.atleast_1d(self.q))
-        if len(q) < 1:
-            raise ValueError("need at least one length scale")
-        if any(v <= 0 for v in q):
-            raise ValueError("length scales must be positive")
+        object.__setattr__(self, "q", length_scales(self.q))
         if not self.c1 > 0:
             raise ValueError("c1 must be positive")
-        object.__setattr__(self, "q", q)
         object.__setattr__(self, "eps", float(self.eps))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "c1", float(self.c1))
@@ -71,7 +66,7 @@ def _bulk_terms(params: ModelParams):
 def nprime(p: PhysicalField, params: ModelParams) -> SpectralField:
     """Derivative of the bulk density, eps*phi - alpha*phi^2 + phi^3, of the
     field sampled by p (on either grid): one forward transform."""
-    return samples_to_spectral(poly_samples(p, _nprime_terms(params)))
+    return to_spectral(poly_samples(p, _nprime_terms(params)))
 
 
 def bulk_mean(p: PhysicalField, params: ModelParams) -> float:
@@ -110,7 +105,7 @@ def nprime_increment(fbar: PhysicalField, ebar: PhysicalField, params: ModelPara
     """N'(fbar + ebar) - N'(fbar) of the fields sampled by fbar and ebar,
     formed pointwise: one forward transform."""
     terms = _nprime_terms(params)
-    return samples_to_spectral(poly_samples(fbar + ebar, terms) - poly_samples(fbar, terms))
+    return to_spectral(poly_samples(fbar + ebar, terms) - poly_samples(fbar, terms))
 
 
 def sav_ingredients(fbar, params: ModelParams):

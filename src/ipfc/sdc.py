@@ -6,20 +6,22 @@ right-hand sides then feeds a linear correction sweep that solves an error
 equation interval by interval.  One sweep lifts the global order from two
 to four.
 
-`_refreeze` is the one place node fields become an `SdcTrajectory`: it
-stores each node's stepper state (field, samples, auxiliary-scalar
-deviation) and energy row, and each interval's frozen ratio coefficient.
-After the predictor it takes the states from the stepper, so a predicted
-node costs the stepper's two transforms.  After a sweep it re-runs the
-stepper's update on the corrected fields, at two transforms per node.  Every
-state samples on the grid of the block's initial state, which `init_state`
-chose.  The sweep builds the node right-hand sides (one forward transform
-each, into a row of one nodes x modes array) the first time it reads a
-trajectory, forms the extrapolants' samples by linearity and costs two
-transforms per interval past the first, so a one-sweep node costs fewer
-than seven.  `sdc_solve` reports the states and energy rows of each block's
-final pass through the same `on_step(i, state, report)` callback as
-`sav_cn.evolve`, and returns `(state, reports)` as it does.
+`_refreeze` is the one place node fields become an `SdcTrajectory`: the
+block's node states and energy rows.  A state holds its node's field,
+samples, auxiliary-scalar deviation and the sqrt(F1) its step froze, so the
+sweep reads each interval's frozen ratio coefficient off the two states that
+bound it.  After the predictor `_refreeze` takes the states from the
+stepper, so a predicted node costs the stepper's two transforms; after a
+sweep it re-runs the stepper's update on the corrected fields, at two
+transforms per node.  Every state samples on the grid of the block's initial
+state, which `init_state` chose.  The sweep builds the node right-hand sides
+(one forward transform each, into a row of one nodes x modes array) the
+first time it reads a trajectory, forms the extrapolants' samples by
+linearity and costs two transforms per interval past the first, so a
+one-sweep node costs fewer than seven.  `sdc_solve` reports the states and
+energy rows of each block's final pass through the same
+`on_step(i, state, report)` callback as `sav_cn.evolve`, and returns
+`(state, reports)` as it does.
 
 Large node counts are handled by partitioning [0, T] into blocks of at most
 `block` intervals (4096 by default, at least two per block), applying
@@ -35,7 +37,7 @@ to round-off at thousands of nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -129,16 +131,19 @@ def integration_matrix(grid: ChebGrid) -> IntegrationMatrix:
 
 @dataclass(eq=False)
 class SdcTrajectory:
-    """One block's node fields with what the correction sweep and the energy
-    rows need along them; built only by `_refreeze`.  The sweep's right-hand
+    """One block's node states and energy rows, built only by `_refreeze`;
+    the sweep reads each node's facts off its state.  The sweep's right-hand
     sides `ws` are built by the first `correct` along the trajectory."""
 
     grid: ChebGrid
-    phis: List[SpectralField]
     states: List[StepperState]   # stepper state per node, sampled on the block's grid
-    kappas: np.ndarray           # frozen R^{n+1/2} / sqrt(F1(fbar)) per interval
     reports: List[StepReport]    # energy row per node past the initial one
     ws: Optional[np.ndarray] = None  # (nodes, modes): mean-free G^2 phi + N'(phi) per node
+
+    @property
+    def phis(self) -> tuple:
+        """The node fields, read off the states."""
+        return tuple(st.phi for st in self.states)
 
 
 def predict(
@@ -170,43 +175,45 @@ def correct(
     with Q^n the quadrature of the captured right-hand sides over the
     interval and ebar the same two-point extrapolant the predictor uses
     (ebar = eps^0 = 0 on the first interval, where the bracket vanishes).
-    The ratio coefficient kappa is frozen from the predictor; only the
-    argument of N' sees the error.  The bracket is formed pointwise from
-    samples: those of fbar combine the samples the node states carry, those
-    of ebar the samples of eps^n and eps^{n-1}, taken on the same grid.  The
-    node right-hand sides, one forward transform each, are built on the
-    first sweep along `traj` and kept in `traj.ws`.
+    The ratio coefficient kappa^n = R^{n+1/2} / sqrt(F1(fbar^n)) stays as the
+    states froze it; only the argument of N' sees the error.  The bracket is
+    formed pointwise from samples: those of fbar combine the samples the node
+    states carry, those of ebar the samples of eps^n and eps^{n-1}, taken on
+    the same grid.  The node right-hand sides, one forward transform each,
+    are built on the first sweep along `traj` and kept in `traj.ws`.
     """
     taus = traj.grid.taus
     n_t = taus.size
     g2 = symbol.g2_half
-    grid0 = traj.phis[0].grid
+    states = traj.states
+    grid0 = states[0].phi.grid
     zero = grid0.zero_index
-    s = [st.samples for st in traj.states]
     if traj.ws is None:
-        traj.ws = np.empty((n_t + 1, traj.phis[0].half.size), dtype=complex)
-        for row, phi, p in zip(traj.ws, traj.phis, s):
+        traj.ws = np.empty((n_t + 1, states[0].phi.half.size), dtype=complex)
+        for row, st in zip(traj.ws, states):
             # The stepped flow is the mean-constrained one, so its right-hand
             # side carries no zero mode.
-            np.multiply(phi.half.ravel(), g2.ravel(), out=row)
-            row += nprime(p, params).half.ravel()
+            np.multiply(st.phi.half.ravel(), g2.ravel(), out=row)
+            row += nprime(st.samples, params).half.ravel()
             row[zero] = 0.0
 
-    eps = SpectralField(grid0, np.zeros_like(traj.phis[0].half))
+    eps = SpectralField(grid0, np.zeros_like(states[0].phi.half))
     e_prev = None  # samples of eps^{n-1}; eps^0 = 0 is never sampled
-    out = [traj.phis[0]]
+    out = [states[0].phi]
     for n in range(n_t):
         tau = float(taus[n])
+        a, b = states[n], states[n + 1]
         rhs = (
             eps.half * (1.0 - 0.5 * tau * g2)
             - (S.S[n] @ traj.ws).reshape(grid0.half_sizes)
-            - (traj.phis[n + 1].half - traj.phis[n].half)
+            - (b.phi.half - a.phi.half)
         )
         if n:
-            e = to_physical(eps, s[0].factor > 1)
+            e = to_physical(eps, a.samples.factor > 1)
             ebar = 1.5 * e if e_prev is None else 1.5 * e - 0.5 * e_prev
-            bracket = nprime_increment(1.5 * s[n] - 0.5 * s[n - 1], ebar, params)
-            rhs -= tau * traj.kappas[n] * project_mean(bracket).half
+            bracket = nprime_increment(1.5 * a.samples - 0.5 * states[n - 1].samples, ebar, params)
+            kappa = (states[0].sqrt_c1 + 0.5 * (a.r_dev + b.r_dev)) / b.sqrt_f1
+            rhs -= tau * kappa * project_mean(bracket).half
             e_prev = e
         # The quadrature product (one BLAS call) need not round mirrored
         # modes alike.
@@ -216,14 +223,14 @@ def correct(
             raise NumericalError(f"the correction moved the zero mode to {zc!r}")
         eps_new.half.ravel()[zero] = 0.0
 
-        out.append(traj.phis[n + 1] + eps_new)
+        out.append(b.phi + eps_new)
         eps = eps_new
     return out
 
 
 def _refreeze(
     start: StepperState,
-    phis: List[SpectralField],
+    phis: Sequence[SpectralField],
     grid: ChebGrid,
     symbol: OperatorSymbol,
     params: ModelParams,
@@ -248,10 +255,7 @@ def _refreeze(
             reports.append(report)
     else:
         states, reports = stepped
-    r_devs = np.array([st.r_dev for st in states])
-    sqrt_f1s = np.array([st.sqrt_f1 for st in states[1:]])
-    kappas = (start.sqrt_c1 + 0.5 * (r_devs[:-1] + r_devs[1:])) / sqrt_f1s
-    return SdcTrajectory(grid=grid, phis=phis, states=states, kappas=kappas, reports=reports)
+    return SdcTrajectory(grid=grid, states=states, reports=reports)
 
 
 def _sdc_blocks(n_t: int, sweeps: int, block: int) -> List[int]:

@@ -124,6 +124,18 @@ def test_non_finite_time_rejected_before_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_scales_of_a_3d_projection_rejected_before_output(tmp_path, capsys):
+    # spectra are classified for d <= 2 only; the study is refused when the
+    # config is read, not after the first m's evolution
+    text = CONFIG.replace("d = 1\nn = 1", "d = 3\nn = 3").replace("sizes = 32", "sizes = 8 8 8")
+    text = text.split("[initial]")[0] + "[output]\ndir = out\n\n[scales]\nm_list = 1 2\n"
+    cfg = tmp_path / "scales3d.cfg"
+    cfg.write_text(text)
+    assert main(["scales", str(cfg)]) == 1
+    assert "[scales] symmetry classification supports d <= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["evolve", "/nonexistent/nowhere.cfg"]) == 1
 

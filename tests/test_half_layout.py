@@ -7,11 +7,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ipfc import (
+    PhysicalField,
     ProjectionSpec,
     SpectralField,
     build_grid,
     dump_field,
     field_from_coeffs,
+    hermitian_violation,
     load_field,
     to_physical,
     to_spectral,
@@ -109,6 +111,17 @@ def test_transform_round_trip(case, dealias):
     back = to_spectral(to_physical(f, dealias))
     scale = np.abs(f.half).max()
     assert np.abs(back.half - f.half).max() <= 1e-14 * scale
+
+
+@settings(deadline=None, max_examples=40)
+@given(cases, st.sampled_from([1, 2]))
+def test_to_spectral_output_is_exactly_symmetric(case, factor):
+    # any samples, on the grid or the refined one, transform to coefficients
+    # that are conjugate-symmetric and empty off the live modes, exactly
+    grid, seed = case
+    shape = tuple(factor * nj for nj in grid.sizes)
+    samples = PhysicalField(grid, np.random.default_rng(seed).standard_normal(shape), factor)
+    assert hermitian_violation(to_spectral(samples)) == 0.0
 
 
 @settings(deadline=None, max_examples=40)

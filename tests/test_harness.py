@@ -110,6 +110,13 @@ def test_parse_rejects_bad_render_values(render, match):
         parse_config(text)
 
 
+def test_parse_rejects_render_of_a_3d_projection():
+    # a graymap has two axes: a d = 3 config is refused before any run
+    text = BASE_1D.replace("d = 1\nn = 1", "d = 3\nn = 3").replace("sizes = 32", "sizes = 8 8 8")
+    with pytest.raises(ConfigError, match=r"\[render\] graymaps need d <= 2"):
+        parse_config(text + "\n[render]\nwindow = 0 1 0 1 0 1\nresolution = 4 5 6\n")
+
+
 @pytest.mark.parametrize(
     "old, new, match",
     [
@@ -376,6 +383,13 @@ def test_render_cosine_stripes(tmp_path):
     blob = path.read_bytes()
     assert blob.startswith(b"P5\n32 8\n255\n")
     assert len(blob) == len(b"P5\n32 8\n255\n") + 32 * 8
+
+
+def test_write_pgm_rejects_rasters_of_more_than_two_axes(tmp_path):
+    path = tmp_path / "cube.pgm"
+    with pytest.raises(ValueError, match="at most 2 axes"):
+        write_pgm(str(path), np.zeros((4, 5, 6), dtype=np.uint8))
+    assert not path.exists()
 
 
 # -- drivers ----------------------------------------------------------------------

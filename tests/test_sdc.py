@@ -120,7 +120,7 @@ def test_refreeze_reproduces_predictor_bitwise(bench_1d, rng):
         correct(t, S, symbol, params)
     np.testing.assert_array_equal(rebuilt.ws, traj.ws)
     assert [st.r_dev for st in rebuilt.states] == [st.r_dev for st in traj.states]
-    np.testing.assert_array_equal(rebuilt.kappas, traj.kappas)
+    assert [st.sqrt_f1 for st in rebuilt.states] == [st.sqrt_f1 for st in traj.states]
     for a, b in zip(rebuilt.states, traj.states):
         np.testing.assert_array_equal(a.samples.values, b.samples.values)
     assert rebuilt.reports == traj.reports
@@ -184,7 +184,7 @@ def test_correct_non_finite_raises_numerical_error(bench_1d, rng):
     g = cheb_nodes(0.05, 8)
     S = integration_matrix(g)
     traj = predict(init_state(phi0, symbol, params), g, symbol, params)
-    traj.kappas[3] = np.nan
+    traj.states[4].sqrt_f1 = np.nan  # kappa of interval 3
     with pytest.raises(NumericalError, match="zero mode"):
         correct(traj, S, symbol, params)
 

@@ -15,3 +15,34 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+# numpy.fft names that are index helpers, not transforms
+_FFT_HELPERS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}
+
+
+def _fft_transform_lines(tree):
+    """Lines that name a numpy.fft transform, as `<x>.fft.<name>` or
+    imported from numpy.fft."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr not in _FFT_HELPERS:
+            owner = node.value
+            if isinstance(owner, ast.Attribute) and owner.attr == "fft":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            if any(alias.name not in _FFT_HELPERS for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_transforms_only_in_field(path):
+    # transforms, and the symmetrization that ends each forward one, have
+    # one home; field.py must still be found making them
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _fft_transform_lines(tree)
+    if path.name == "field.py":
+        assert lines
+    else:
+        assert lines == []
