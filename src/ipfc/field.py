@@ -8,13 +8,16 @@ mean spatial inner product with no extra factors.
 Fields are real, so a field stores only the half layout of its
 coefficients (see `IndexGrid`) and transforms are real-data ones.  Full
 layout arrays cross in one place each way: `field_from_coeffs` folds them
-in, `SpectralField.coeffs` unfolds a field for reading.  Fields are made
-exactly conjugate-symmetric by `field_from_coeffs` and `to_spectral`.
+in, `SpectralField.coeffs` unfolds a field for reading; the text dumps
+read and write the half layout directly.  Fields are made exactly
+conjugate-symmetric by the fold (`field_from_coeffs`, `load_field`) and by
+`to_spectral`.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +47,8 @@ __all__ = [
 ]
 
 DUMP_THRESHOLD = 1e-14
+# Lines formatted per write: bounds the dump's text temporaries.
+DUMP_CHUNK_LINES = 8192
 # Refinement per axis of the dealiasing grid: products are exact truncated
 # convolutions through total degree PAD_FACTOR + 1, the cubic N'.
 PAD_FACTOR = 2
@@ -144,12 +149,17 @@ def field_from_coeffs(grid: IndexGrid, coeffs) -> SpectralField:
     half-layout array."""
     full = np.asarray(coeffs, dtype=np.complex128).reshape(grid.sizes)
     h = grid.half_sizes[-1]
-    half = np.conj(mirrored(full)[..., :h])
-    half += full[..., :h]
-    half *= 0.5
+    return _pair_mean(grid, np.conj(mirrored(full)[..., :h]), full[..., :h])
+
+
+def _pair_mean(grid: IndexGrid, conj_mirror: np.ndarray, own) -> SpectralField:
+    """Field of the half-layout pair means (conj_mirror + own) / 2, zeroed
+    off the live modes; accumulates into `conj_mirror`."""
+    conj_mirror += own
+    conj_mirror *= 0.5
     if not grid.all_live:
-        half *= grid.live_mask
-    return SpectralField(grid, half)
+        conj_mirror *= grid.live_mask
+    return SpectralField(grid, conj_mirror)
 
 
 def enforce_hermitian(f: SpectralField) -> SpectralField:
@@ -195,10 +205,13 @@ def project_mean(f: SpectralField) -> SpectralField:
 def _coeff_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Re sum_h a_h conj(b_h) over every mode, from half-layout arrays: an
     interior column stands for itself and its mirror (weight 2), the two
-    self-paired last-axis planes for themselves (weight 1)."""
-    s = 2.0 * np.vdot(b, a).real  # vdot conjugates its first argument
-    s -= np.vdot(b[..., 0], a[..., 0]).real + np.vdot(b[..., -1], a[..., -1]).real
-    return float(s)
+    self-paired last-axis planes for themselves (weight 1).  Summed over
+    float views (Re a conj(b) = a.re b.re + a.im b.im), column by column,
+    by numpy's own loops rather than a threaded BLAS call, so the sum does
+    not depend on the thread count."""
+    x, y = (np.ascontiguousarray(v).view(np.float64).reshape(-1, 2 * v.shape[-1]) for v in (a, b))
+    cols = np.einsum("ij,ij->j", x, y)  # the planes are the first and last two
+    return float(2.0 * cols.sum() - cols[:2].sum() - cols[-2:].sum())
 
 
 def inner_ap(f: SpectralField, g: SpectralField) -> float:
@@ -335,37 +348,61 @@ def apply_symbol(f: SpectralField, symbol: OperatorSymbol, power: int = 1) -> Sp
 def dump_field(f: SpectralField, fileobj) -> None:
     """Write the portable text dump: a header line then one
     "h1 .. hn re im" line per full-layout coefficient above the drop
-    threshold."""
+    threshold, in full-layout order.
+
+    The real part and the imaginary magnitude of each kept half-layout
+    value are formatted once.  A line's imaginary sign is that of the
+    stored value, flipped on lines past the half, which hold its conjugate;
+    a "-" before the magnitude's "%.17g" is exact for every finite value,
+    +-0 included.  Lines are written DUMP_CHUNK_LINES at a time."""
     grid = f.grid
     n = len(grid.sizes)
     sizes = ",".join(str(s) for s in grid.sizes)
     fileobj.write(f"ipfc-field v1 n={n} sizes={sizes}\n")
-    flat = f.coeffs.ravel()
-    keep = np.flatnonzero(np.abs(flat) > DUMP_THRESHOLD)
-    cols = [c.tolist() for c in grid.modes(keep).T] + [
-        flat[keep].real.tolist(),
-        flat[keep].imag.tolist(),
-    ]
-    line = "%d " * n + "%.17g %.17g\n"
-    fileobj.write((line * len(keep)) % tuple(itertools.chain.from_iterable(zip(*cols))))
+    kept = np.abs(f.half) > DUMP_THRESHOLD
+    keep = np.flatnonzero(grid.unfold(kept))
+    formatted = np.flatnonzero(kept)
+    modes = grid.modes(keep)
+    # the half position each line reads: its own, or its mirror's past the half
+    mirror = keep % grid.sizes[-1] >= grid.half_sizes[-1]
+    src = np.where(mirror[:, None], -modes, modes) % np.array(grid.sizes)
+    rank = np.searchsorted(formatted, np.ravel_multi_index(tuple(src.T), grid.half_sizes))
+    values = f.half.ravel()[formatted]
+    real, magnitude = (
+        np.array(("%.17g\n" * len(values) % tuple(part.tolist())).split("\n")[:-1], dtype=object)
+        for part in (values.real, np.abs(values.imag))
+    )
+    sign = np.where(np.signbit(values.imag)[rank] != mirror, "-", "").astype(object)
+    line = "%d " * n + "%s %s%s\n"
+    for lo in range(0, len(keep), DUMP_CHUNK_LINES):
+        r, chunk = rank[lo : lo + DUMP_CHUNK_LINES], slice(lo, lo + DUMP_CHUNK_LINES)
+        cols = [c.tolist() for c in modes[chunk].T]
+        cols += [real[r].tolist(), sign[chunk].tolist(), magnitude[r].tolist()]
+        fileobj.write((line * len(r)) % tuple(itertools.chain.from_iterable(zip(*cols))))
 
 
 def load_field(fileobj, grid: IndexGrid) -> SpectralField:
     """Read a portable dump back onto an existing grid (header must match).
-    A mode listed twice takes its last value; the modes are folded onto the
-    half layout as by `field_from_coeffs`."""
+    A mode listed twice takes its last value.  Each line is scattered
+    straight into the half layout, as c_h at its own position and as c_-h
+    at its mirror's, and the modes are folded as by `field_from_coeffs`."""
     pos, values = _read_dump(fileobj, grid)
     # keep the last line of each mode
-    _, last = np.unique(pos[::-1], return_index=True)
-    last = len(pos) - 1 - last
-    full = np.zeros(grid.sizes, dtype=np.complex128)
-    full.ravel()[pos[last]] = values[last]
-    return field_from_coeffs(grid, full)
+    flat = np.ravel_multi_index(tuple(pos.T), grid.sizes)
+    _, last = np.unique(flat[::-1], return_index=True)
+    last = len(flat) - 1 - last
+    pos, values = pos[last], values[last]
+    own, mirror = (np.zeros(grid.half_sizes, dtype=np.complex128) for _ in range(2))
+    for out, p in ((own, pos), (mirror, -pos % np.array(grid.sizes))):
+        inside = p[:, -1] < grid.half_sizes[-1]
+        out.ravel()[np.ravel_multi_index(tuple(p[inside].T), grid.half_sizes)] = values[inside]
+    return _pair_mean(grid, np.conjugate(mirror, out=mirror), own)
 
 
 def _read_dump(fileobj, grid: IndexGrid):
-    """Flat full-layout positions and values of a dump's lines, in file
-    order, after checking them; the text is freed on return."""
+    """Mod-N positions (one row of n per line) and values of a dump's lines,
+    in file order, after checking them.  The body is parsed by one
+    `np.loadtxt` pass over the stream; blank lines are skipped."""
     header = fileobj.readline().strip()
     parts = header.split()
     keys = [p.partition("=")[::2] for p in parts[2:]]
@@ -375,25 +412,51 @@ def _read_dump(fileobj, grid: IndexGrid):
     sizes = tuple(int(s) for s in keys[1][1].split(","))
     if n != len(grid.sizes) or sizes != grid.sizes:
         raise ValueError(f"dump grid {sizes} does not match target grid {grid.sizes}")
-    lines = fileobj.read().split("\n")
-    rows = [line.split() for line in lines]
-    for line, row in zip(lines, rows):
-        if row and len(row) != n + 2:
-            raise ValueError(f"malformed dump line: {line.strip()!r}")
-    table = np.array([row for row in rows if row], dtype="S").reshape(-1, n + 2)
+    row = np.dtype([("h", np.int64, (n,)), ("v", np.float64, (2,))])
+    start = fileobj.tell() if fileobj.seekable() else None
     try:
-        h = table[:, :n].astype(np.int64)
-    except OverflowError as exc:
-        raise ValueError("mode index outside the int64 range") from exc
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fileobj, dtype=row, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"malformed dump {_dump_line(fileobj, start, row)}") from exc
+    h = table["h"]
     half = np.array(grid.sizes) // 2
     outside = np.argwhere((h < -half) | (h > half - 1))
     if len(outside):
         i, j = outside[0]
-        raise ValueError(f"mode index {h[i, j]} outside -{half[j]} .. {half[j] - 1}")
-    values = table[:, n:].astype(float)
+        raise ValueError(
+            f"mode index {h[i, j]} outside -{half[j]} .. {half[j] - 1}"
+            f" on dump {_dump_line(fileobj, start, row, i)}"
+        )
+    values = np.ascontiguousarray(table["v"])
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if len(bad):
-        line = b" ".join(table[bad[0]]).decode()
-        raise ValueError(f"non-finite value in dump line: {line!r}")
-    pos = np.ravel_multi_index(tuple((h % grid.sizes).T), grid.sizes)
-    return pos, values.view(np.complex128)[:, 0]
+        raise ValueError(f"non-finite value on dump {_dump_line(fileobj, start, row, bad[0])}")
+    return h % np.array(grid.sizes), values.view(np.complex128)[:, 0]
+
+
+def _dump_line(fileobj, start, row: np.dtype, index=None) -> str:
+    """Name the body line of a dump that failed a check by its 1-based line
+    number and text: the data line `index` (counted from 0, blank lines
+    skipped) or, with no index, the first line that does not parse as `row`.
+    Re-reads the stream from `start`, so only errors call it; a stream that
+    cannot seek is named by its data line alone."""
+    if start is not None:
+        fileobj.seek(start)
+        seen = -1
+        for number, text in enumerate(fileobj, start=2):
+            if not text.strip():
+                continue
+            seen += 1
+            if seen == index or (index is None and not _parses(text, row)):
+                return f"line {number}: {text.strip()!r}"
+    return "line" if index is None else f"data line {index + 1} (blank lines not counted)"
+
+
+def _parses(text: str, row: np.dtype) -> bool:
+    try:
+        np.loadtxt([text], dtype=row, comments=None, ndmin=1)
+    except ValueError:
+        return False
+    return True

@@ -197,6 +197,9 @@ def correct(
             row += nprime(st.samples, params).half.ravel()
             row[zero] = 0.0
 
+    # The quadrature sums over nodes by numpy's own loops on the float view,
+    # not by a threaded BLAS product, so it does not depend on the thread count.
+    ws = traj.ws.view(np.float64)
     eps = SpectralField(grid0, np.zeros_like(states[0].phi.half))
     e_prev = None  # samples of eps^{n-1}; eps^0 = 0 is never sampled
     out = [states[0].phi]
@@ -205,7 +208,7 @@ def correct(
         a, b = states[n], states[n + 1]
         rhs = (
             eps.half * (1.0 - 0.5 * tau * g2)
-            - (S.S[n] @ traj.ws).reshape(grid0.half_sizes)
+            - np.einsum("m,mk->k", S.S[n], ws).view(complex).reshape(grid0.half_sizes)
             - (b.phi.half - a.phi.half)
         )
         if n:
@@ -215,8 +218,8 @@ def correct(
             kappa = (states[0].sqrt_c1 + 0.5 * (a.r_dev + b.r_dev)) / b.sqrt_f1
             rhs -= tau * kappa * project_mean(bracket).half
             e_prev = e
-        # The quadrature product (one BLAS call) need not round mirrored
-        # modes alike.
+        # The projection keeps the correction exactly conjugate-symmetric
+        # and off the modes that are not live, whatever the rounding above.
         eps_new = enforce_hermitian(SpectralField(grid0, rhs / (1.0 + 0.5 * tau * g2)))
         zc = eps_new.half.ravel()[zero]
         if not abs(zc) <= 1e-13:  # also trips on a non-finite correction

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ipfc
 from ipfc.cli import main
 from ipfc.harness import ENERGY_HEADER
 
@@ -75,6 +78,35 @@ def test_render_and_spectrum_commands(config_path, tmp_path, capsys):
     assert "verdict: 2-fold" in out
     pgms = list((tmp_path / "out").glob("*.pgm"))
     assert pgms and pgms[0].read_bytes().startswith(b"P5\n")
+
+
+def test_energy_csv_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    # On a 256^2 grid the inner products and the SDC quadrature run over
+    # arrays large enough for OpenBLAS to split a dot product across
+    # threads (on a machine with at least two cores), which would reorder
+    # its sums.
+    text = (
+        CONFIG.replace("d = 1\nn = 1", "d = 2\nn = 2")
+        .replace("sizes = 32", "sizes = 256 256")
+        .replace("T = 0.05\nnt = 8", "T = 0.02\nnt = 4\nscheme = sav_cn_sdc\nsweeps = 1")
+        .split("[output]")[0]
+        + "[output]\ndir = out\n"
+    )
+    src = os.path.dirname(os.path.dirname(ipfc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    logs = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads{threads}"
+        run.mkdir()
+        (run / "run.cfg").write_text(text)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run(
+            [sys.executable, "-m", "ipfc.cli", "evolve", str(run / "run.cfg")],
+            env=env, check=True, capture_output=True,
+        )
+        logs.append((run / "out" / "energy.csv").read_bytes())
+    assert len(logs[0].splitlines()) == 6
+    assert logs[0] == logs[1]
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,8 @@ def test_load_rejects_wrong_grid():
         "1 nan 0.0\n-1 nan 0.0",
         "1 0.5 inf\n-1 0.5 -inf",
         "1 1e400 0.0",
+        "# a comment",
+        "1 0.5 0.0\n# 1 0.5 0.0",
     ],
     ids=[
         "too-few-tokens",
@@ -308,6 +311,8 @@ def test_load_rejects_wrong_grid():
         "nan-value",
         "inf-value",
         "overflowing-value",
+        "comment-line",
+        "commented-out-line",
     ],
 )
 def test_load_rejects_malformed_line(line):
@@ -315,6 +320,46 @@ def test_load_rejects_malformed_line(line):
     text = "ipfc-field v1 n=1 sizes=8\n" + line + "\n"
     with pytest.raises(ValueError):
         load_field(io.StringIO(text), grid)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n  \n"], ids=["no-body", "blank-line", "blank-lines"])
+def test_load_header_only_dump_is_the_zero_field(body):
+    spec, grid = grid_1d(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_field(io.StringIO("ipfc-field v1 n=1 sizes=8\n" + body), grid)
+    assert loaded.half.tobytes() == zeros_field(grid).half.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["2\t0.25\t0.5\n-2\t0.25\t-0.5\n", "2 0.25 0.5\r\n-2 0.25 -0.5\r\n", " 2  0.25 0.5 \n\n-2 0.25\t-0.5"],
+    ids=["tabs", "crlf", "mixed-blanks"],
+)
+def test_load_accepts_any_blank_separation(body):
+    spec, grid = grid_1d(8)
+    header = "ipfc-field v1 n=1 sizes=8\n"
+    loaded = load_field(io.StringIO(header + body), grid)
+    plain = load_field(io.StringIO(header + "2 0.25 0.5\n-2 0.25 -0.5\n"), grid)
+    assert loaded.half.tobytes() == plain.half.tobytes()
+    assert loaded.coeffs[grid.flat_index([2])] == 0.25 + 0.5j
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1 0.5 0.0\n\n-1 0.5\n", "malformed dump line 4: '-1 0.5'"),
+        ("1 0.5 0.0\n1.0 0.5 0.0\n", "malformed dump line 3: '1.0 0.5 0.0'"),
+        ("1 0.5 0.0\n4 0.5 0.0\n", "mode index 4 outside -4 .. 3 on dump line 3: '4 0.5 0.0'"),
+        ("\n\n1 inf 0.0\n", "non-finite value on dump line 4: '1 inf 0.0'"),
+    ],
+    ids=["malformed", "float-index", "out-of-range", "non-finite"],
+)
+def test_load_errors_name_the_line_number(body, message):
+    spec, grid = grid_1d(8)
+    with pytest.raises(ValueError) as err:
+        load_field(io.StringIO("ipfc-field v1 n=1 sizes=8\n" + body), grid)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -334,6 +379,18 @@ def test_load_rejects_malformed_header(header):
     spec, grid = grid_1d(8)
     with pytest.raises(ValueError, match="unrecognized field dump header"):
         load_field(io.StringIO(header + "\n1 0.5 0.0\n-1 0.5 0.0\n"), grid)
+
+
+def test_load_errors_on_a_stream_that_cannot_seek_name_the_data_line():
+    class Unseekable(io.StringIO):
+        def seekable(self):
+            return False
+
+    spec, grid = grid_1d(8)
+    text = "ipfc-field v1 n=1 sizes=8\n1 0.5 0.0\n\n-1 nan 0.0\n"
+    with pytest.raises(ValueError) as err:
+        load_field(Unseekable(text), grid)
+    assert str(err.value) == "non-finite value on dump data line 2 (blank lines not counted)"
 
 
 def test_load_names_the_non_finite_line():
