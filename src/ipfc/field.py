@@ -6,12 +6,13 @@ divides by the mode count and the coefficient-space dot product equals the
 mean spatial inner product with no extra factors.
 
 Fields are real, so a field stores only the half layout of its
-coefficients (see `IndexGrid`) and transforms are real-data ones.  Full
-layout arrays cross in one place each way: `field_from_coeffs` folds them
-in, `SpectralField.coeffs` unfolds a field for reading; the text dumps
-read and write the half layout directly.  Fields are made exactly
-conjugate-symmetric by the fold (`field_from_coeffs`, `load_field`) and by
-`to_spectral`.
+coefficients (see `IndexGrid`) and transforms are real-data ones.  The
+library does not read the full layout: full-layout data enters only
+through `field_from_coeffs`, which folds it in, `load_field` and
+`IndexGrid.unfold`, and the text dumps, the raster and the spectrum read
+the half layout directly.  `SpectralField.coeffs` unfolds a field for
+callers outside the library.  Fields are made exactly conjugate-symmetric
+by the fold (`field_from_coeffs`, `load_field`) and by `to_spectral`.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .field import (
     project_mean,
 )
 from .lattice import IndexGrid, OperatorSymbol, ProjectionSpec, build_grid, build_symbol
-from .lattice import raster_axes, sample_real_space
+from .lattice import kept_half_modes, raster_axes, sample_real_space
 from .model import ModelParams
 from .sav_cn import StepReport, StepperState, evolve, init_state, initial_report
 from .sdc import _sdc_blocks, sdc_solve
@@ -609,14 +609,16 @@ def spectrum_report(fld: SpectralField, threshold_rel: float):
     one-dimensional fields, rows sorted lexicographically for deterministic
     output.
     """
-    _spectrum_rule(threshold_rel, fld.grid.spec.d)
-    flat = np.abs(fld.coeffs.ravel())
-    mx = float(flat.max()) if flat.size else 0.0
+    grid = fld.grid
+    _spectrum_rule(threshold_rel, grid.spec.d)
+    mx = float(np.abs(fld.half).max())
     if mx <= 0.0:
         raise ValueError("empty spectrum: the field is identically zero")
-    keep = np.flatnonzero(flat > threshold_rel * mx)
-    kv = fld.grid.wavevectors(keep)
-    amps = flat[keep]
+    pos, modes, coeffs, interior = kept_half_modes(fld, threshold_rel * mx)
+    # each interior mode's mirror holds conj(c), read off its own mode row
+    modes = np.concatenate([modes, grid.modes_at(-pos[interior] % grid.sizes)])
+    kv = modes @ grid.spec.projected_basis.T
+    amps = np.abs(np.concatenate([coeffs, coeffs[interior]]))
     kxy = kv if kv.shape[1] == 2 else np.column_stack([kv[:, 0], np.zeros(kv.shape[0])])
     order = np.lexsort((kxy[:, 1], kxy[:, 0]))
     kxy = kxy[order]

@@ -88,9 +88,10 @@ class IndexGrid:
     axis keeps its first N/2 + 1 positions, whose last one holds the mode
     -N/2.  Every other mode is the conjugate of its mirror -h (mod N), which
     the half holds.  The last-axis planes 0 and -N/2 pair with themselves.
-    The grid stores only half-layout arrays (`ksq`, `live_mask`); `modes`
-    and `wavevectors` compute full-layout data for the positions a caller
-    asks for, and `unfold` expands half-layout values.
+    The grid stores only half-layout arrays (`ksq`, `live_mask`);
+    `modes_at`, `modes` and `wavevectors` compute integer modes and
+    wavevectors for the positions a caller asks for, and `unfold` expands
+    half-layout values.
     """
 
     spec: ProjectionSpec
@@ -115,29 +116,30 @@ class IndexGrid:
         # the first axis (the half axis of a 1-d grid) at a time, so that
         # only one slab's wavevectors exist at once.
         rest = self.half_sizes[1:]
-        slab = np.indices(rest).reshape(len(rest), -1 if rest else 1)
-        sizes = np.array(self.sizes)[:, None]
+        slab = np.indices(rest).reshape(len(rest), -1 if rest else 1).T
+        basis = self.spec.projected_basis.T
 
         def ksq_at(pos):
-            flat = np.ravel_multi_index(tuple(pos), self.sizes)
-            return (self.wavevectors(flat) ** 2).sum(axis=1).reshape(rest)
+            return ((self.modes_at(pos) @ basis) ** 2).sum(axis=1).reshape(rest)
 
         self.ksq = np.empty(self.half_sizes)
         self.live_mask = np.empty(self.half_sizes, dtype=bool)
         for i0 in range(self.half_sizes[0]):
-            pos = np.vstack([np.full((1, slab.shape[1]), i0), slab])
+            pos = np.column_stack([np.full(len(slab), i0), slab])
             self.ksq[i0] = ksq_at(pos)
-            self.live_mask[i0] = self.ksq[i0] == ksq_at(-pos % sizes)
+            self.live_mask[i0] = self.ksq[i0] == ksq_at(-pos % self.sizes)
         self.all_live = bool(self.live_mask.all())
+
+    def modes_at(self, pos) -> np.ndarray:
+        """Integer modes h at integer positions, one per row (the half
+        layout's positions are full-layout ones)."""
+        sizes = np.array(self.sizes)
+        return np.where(pos < sizes // 2, pos, pos - sizes)  # FFT order
 
     def modes(self, flat) -> np.ndarray:
         """Integer modes h (one row per position) at full-layout flat
         positions."""
-        pos = np.unravel_index(flat, self.sizes)
-        out = np.empty(np.shape(flat) + (len(self.sizes),), dtype=np.intp)
-        for j, (p, nj) in enumerate(zip(pos, self.sizes)):
-            out[..., j] = np.fft.ifftshift(np.arange(-(nj // 2), nj // 2))[p]  # FFT order
-        return out
+        return self.modes_at(np.stack(np.unravel_index(flat, self.sizes), axis=-1))
 
     def wavevectors(self, flat) -> np.ndarray:
         """Projected wavevectors k_h = P B h at full-layout flat positions."""
@@ -281,33 +283,52 @@ def raster_axes(d: int, window, resolution):
     return [(float(lo), float(hi)) for lo, hi in window.reshape(d, 2)], resolution
 
 
+def kept_half_modes(fld, floor: float):
+    """The field's half-layout coefficients with |c| > floor: their
+    positions (one row each), integer modes and values, and which of them
+    sit on an interior last-axis column, whose mirror the half leaves out."""
+    grid = fld.grid
+    flat = fld.half.ravel()
+    keep = np.flatnonzero(np.abs(flat) > floor)
+    pos = np.stack(np.unravel_index(keep, grid.half_sizes), axis=-1)
+    interior = (pos[:, -1] > 0) & (pos[:, -1] < grid.half_sizes[-1] - 1)
+    return pos, grid.modes_at(pos), flat[keep], interior
+
+
 def sample_real_space(fld, window, resolution, amplitude_floor: float = 0.0) -> np.ndarray:
     """Evaluate the field on a raster in physical space, over the projection
     of its grid, by a separable Bohr-Fourier sum.
 
     The projected wavevectors are incommensurate with any d-dimensional
     lattice, so an inverse FFT is not applicable; the raster is filled with
-    Re sum_h c_h exp(i k_h . r) over modes with |c_h| > amplitude_floor.  On
-    the rectangular raster exp(i k_h . r) = prod_j exp(i k_hj x_j), so every
-    axis but the last is folded into the coefficients and one kernel call
-    per chunk of modes sums the last axis: trig work is modes x (sum of the
-    axis lengths), not modes x pixels.  Modes are taken in chunks of at most
-    RASTER_CHUNK_BYTES of folded coefficients and phases.  Pure in its
-    inputs; raster[i0, i1, ...] samples axis j at the inclusive linspace of
-    window[j].
+    Re sum_h c_h exp(i k_h . r) over modes with |c_h| > amplitude_floor.
+    The sum runs over the conjugate pairs of the half layout: an interior
+    mode whose mirror is exactly -h is one term 2 c_h at k_h, which has the
+    pair's real part; one with a lead-axis component -N/2, whose mod-N
+    mirror is not -h, also keeps conj(c_h) at the mirror's wavevector; the
+    self-paired last-axis planes are summed as they are.
+
+    On the rectangular raster exp(i k_h . r) = prod_j exp(i k_hj x_j), so
+    every axis but the last is folded into the coefficients and one kernel
+    call per chunk of terms sums the last axis: trig work is terms x (sum
+    of the axis lengths), not terms x pixels.  Terms are taken in chunks of
+    at most RASTER_CHUNK_BYTES of folded coefficients and phases.  Pure in
+    its inputs; raster[i0, i1, ...] samples axis j at the inclusive
+    linspace of window[j].
     """
     grid = fld.grid
     if amplitude_floor < 0:
         raise ValueError("amplitude_floor must be >= 0")
     window, resolution = raster_axes(grid.spec.d, window, resolution)
 
-    flat = fld.coeffs.ravel()
-    keep = np.flatnonzero(np.abs(flat) > amplitude_floor)
-    if not keep.size:
+    pos, modes, coeffs, interior = kept_half_modes(fld, amplitude_floor)
+    if not len(coeffs):
         return np.zeros(resolution)
-    kv = grid.wavevectors(keep)
-    coeffs = flat[keep]
-    del flat, keep  # a full-layout copy, not needed while the chunks run
+    inexact = interior & (pos[:, :-1] == np.array(grid.sizes[:-1]) // 2).any(axis=1)
+    doubled = np.where(interior & ~inexact, 2.0 * coeffs, coeffs)
+    coeffs = np.concatenate([doubled, np.conj(coeffs[inexact])])
+    modes = np.concatenate([modes, grid.modes_at(-pos[inexact] % grid.sizes)])
+    kv = modes @ grid.spec.projected_basis.T
 
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(window, resolution)]
     lead = int(np.prod(resolution[:-1]))

@@ -60,6 +60,17 @@ def random_field(grid, rng, scale=0.1, zero_mean=True, zero_extreme=False):
     return f
 
 
+def raster_terms(fld, floor):
+    """Terms of the raster's pair-wise sum: one per half-layout coefficient
+    with |c| > floor, plus one per interior-column mode among them whose
+    mod-N mirror is not -h (its mirror keeps its own term)."""
+    grid = fld.grid
+    pos = np.argwhere(np.abs(fld.half) > floor)
+    h, mirror = grid.modes_at(pos), grid.modes_at(-pos % grid.sizes)
+    interior = (pos[:, -1] > 0) & (pos[:, -1] < grid.half_sizes[-1] - 1)
+    return len(pos) + int((interior & (mirror != -h).any(axis=1)).sum())
+
+
 @pytest.fixture(autouse=True)
 def _full_symbol_views(request, monkeypatch):
     """The acceptance suite's energy identity (criterion 3) reads the symbol

@@ -6,6 +6,7 @@ import pytest
 
 from ipfc import (
     ConfigError,
+    ProjectionSpec,
     build_grid,
     cheb_nodes,
     build_symbol,
@@ -30,7 +31,7 @@ from ipfc.harness import (
     write_pgm,
 )
 
-from conftest import cosine_field, grid_1d
+from conftest import cosine_field, grid_1d, random_field
 
 BASE_1D = """
 [projection]
@@ -335,6 +336,46 @@ def test_spectrum_invariant_under_translation():
     _, _, v1 = spectrum_report(f, 0.1)
     _, _, v2 = spectrum_report(g, 0.1)
     assert v1 == v2 == "12-fold"
+
+
+def _spectrum_oracle(fld, threshold_rel):
+    """`spectrum_report` computed from the full layout, mode by mode."""
+    flat = np.abs(fld.coeffs.ravel())
+    keep = np.flatnonzero(flat > threshold_rel * float(flat.max()))
+    kv = fld.grid.wavevectors(keep)
+    amps = flat[keep]
+    kxy = kv if kv.shape[1] == 2 else np.column_stack([kv[:, 0], np.zeros(kv.shape[0])])
+    order = np.lexsort((kxy[:, 1], kxy[:, 0]))
+    kxy, amps = kxy[order], amps[order]
+    return kxy, amps, f"{classify_fold(kxy, amps)}-fold"
+
+
+def _spectrum_grids():
+    """Random projected grids with d <= 2, the periodic (6, 8) grid whose
+    lead-axis -N/2 plane is live, and the dodecagonal 6^4 grid."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        d = int(rng.integers(1, min(n, 2) + 1))
+        spec = ProjectionSpec(d=d, n=n, P=rng.standard_normal((d, n)), B=np.eye(n))
+        yield build_grid(spec, tuple(int(s) for s in rng.choice([2, 4, 6], size=n)))
+    yield build_grid(ProjectionSpec.identity(2), (6, 8))
+    yield build_grid(ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4)), (6,) * 4)
+
+
+@pytest.mark.parametrize("threshold", [0.1, 1e-3, 1e-6])
+def test_spectrum_matches_full_layout_oracle(threshold):
+    # the half-layout spectrum emits each interior mode's mirror row from its
+    # own mode row, so peaks, amplitudes and verdict are bitwise the full
+    # layout's
+    rng = np.random.default_rng(12)
+    for grid in _spectrum_grids():
+        fld = random_field(grid, rng, zero_mean=False)
+        kxy, amps, verdict = spectrum_report(fld, threshold)
+        want_kxy, want_amps, want_verdict = _spectrum_oracle(fld, threshold)
+        assert kxy.tobytes() == want_kxy.tobytes()
+        assert amps.tobytes() == want_amps.tobytes()
+        assert verdict == want_verdict
 
 
 def test_classify_fold_rotated_set_invariance():

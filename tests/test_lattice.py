@@ -14,7 +14,7 @@ from ipfc import (
 from ipfc._kernels import bohr_fourier_sum, mirrored
 from ipfc.harness import dodecagonal_projection
 
-from conftest import cosine_field, grid_1d, random_field
+from conftest import cosine_field, grid_1d, random_field, raster_terms
 
 
 def test_grid_indices_small():
@@ -346,8 +346,9 @@ def test_sample_real_space_across_mode_chunks(dodecagonal_small, rng, monkeypatc
     monkeypatch.setattr(lattice, "bohr_fourier_sum", counted)
     got = sample_real_space(fld, window, resolution, amplitude_floor=1e-3)
     want, scale = _direct_raster(grid, fld, window, resolution, 1e-3)
-    modes = int((np.abs(fld.coeffs) > 1e-3).sum())
-    assert calls == [5] * (modes // 5) + ([modes % 5] if modes % 5 else [])
+    # every term of the pair-wise sum passes through exactly one chunk
+    terms = raster_terms(fld, 1e-3)
+    assert calls == [5] * (terms // 5) + ([terms % 5] if terms % 5 else [])
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
@@ -368,7 +369,44 @@ def test_sample_real_space_long_last_axis(rng, monkeypatch):
     monkeypatch.setattr(lattice, "bohr_fourier_sum", counted)
     got = sample_real_space(fld, window, resolution)
     want, scale = _direct_raster(grid, fld, window, resolution, 0.0)
-    modes = int(np.count_nonzero(fld.coeffs))
-    chunks = [4] * (modes // 4) + ([modes % 4] if modes % 4 else [])
+    terms = raster_terms(fld, 0.0)
+    chunks = [4] * (terms // 4) + ([terms % 4] if terms % 4 else [])
     assert calls == [(m, resolution[0]) for m in chunks]
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_sample_real_space_inexact_mirror(rng):
+    # On a periodic grid every mode is live, the lead-axis -N/2 plane
+    # included.  Its interior modes have a mod-N mirror other than -h:
+    # h = (-3, 1) pairs with (-3, -1), which does not project to -k_h, so
+    # the pair is not one doubled term.
+    spec = ProjectionSpec.identity(2)
+    grid = build_grid(spec, (6, 8))
+    window, resolution = [(-1.3, 4.0), (0.2, 5.7)], (7, 9)
+    single = np.zeros(grid.sizes, dtype=complex)
+    single.ravel()[grid.flat_index([-3, 1])] = 0.8 - 0.6j
+    noise = rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
+    for c in (single, noise):
+        fld = field_from_coeffs(grid, c)
+        assert raster_terms(fld, 0.0) > np.count_nonzero(fld.half)
+        got = sample_real_space(fld, window, resolution)
+        want, scale = _direct_raster(grid, fld, window, resolution, 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_grid_build_matches_wavevectors_of_every_position():
+    # |k|^2 and the live mask are built slab by slab from positions; they are
+    # bitwise those of the wavevectors of every half-layout position and of
+    # its mod-N mirror
+    rng = np.random.default_rng(6)
+    for case in range(100):
+        n = int(rng.integers(1, 5))
+        d = int(rng.integers(1, min(n, 3) + 1))
+        P, B = rng.standard_normal((d, n)), rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        sizes = tuple(int(s) for s in rng.choice([2, 4, 6], size=n))
+        grid = lattice.IndexGrid(ProjectionSpec(d=d, n=n, P=P, B=B), sizes)
+        pos = np.stack(np.unravel_index(np.arange(grid.ksq.size), grid.half_sizes), axis=-1)
+        own, mirror = (np.ravel_multi_index(tuple(p.T), sizes) for p in (pos, -pos % sizes))
+        ksq, ksq_mirror = ((grid.wavevectors(f) ** 2).sum(axis=1) for f in (own, mirror))
+        assert np.array_equal(grid.ksq.ravel().view(np.uint64), ksq.view(np.uint64)), case
+        assert np.array_equal(grid.live_mask.ravel(), ksq == ksq_mirror), case

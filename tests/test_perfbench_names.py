@@ -15,7 +15,7 @@ import numpy as np
 from ipfc import dump_field
 from ipfc.harness import dodecagonal_projection, parse_config
 
-from conftest import random_field
+from conftest import random_field, raster_terms
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -132,8 +132,9 @@ def test_traced_render_raster_size(tmp_path, rng):
     doc = _run_traced(tmp_path, "render", str(cfg), str(tmp_path / "state.field"))
     kernel = doc["names"].index("kernels.bohr_fourier_sum")
     sizes = [span[4] for span in doc["spans"] if span[0] == kernel]
-    modes = int(np.count_nonzero(np.abs(fld.coeffs) > 1e-3 * np.abs(fld.coeffs).max()))
-    assert sizes == [[modes, 10]]
+    # one chunk holding every term of the raster's pair-wise sum
+    terms = raster_terms(fld, 1e-3 * np.abs(fld.half).max())
+    assert sizes == [[terms, 10]]
 
 
 def test_setup_probe_runs(tmp_path, rng):

@@ -46,3 +46,16 @@ def test_transforms_only_in_field(path):
         assert lines
     else:
         assert lines == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_full_layout_coefficient_reads(path):
+    # full-layout coefficients enter the library only through
+    # `field_from_coeffs`, `load_field` and `grid.unfold`; field.py defines
+    # `SpectralField.coeffs` for callers outside it and must still be found
+    # doing so
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "coeffs"]
+    defines = any(isinstance(n, ast.FunctionDef) and n.name == "coeffs" for n in ast.walk(tree))
+    assert reads == []
+    assert defines == (path.name == "field.py")
