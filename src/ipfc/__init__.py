@@ -40,6 +40,7 @@ from .sdc import (
     ChebGrid,
     IntegrationMatrix,
     SdcTrajectory,
+    block_bytes,
     cheb_nodes,
     correct,
     integration_matrix,

@@ -105,7 +105,9 @@ def nprime_increment(fbar: PhysicalField, ebar: PhysicalField, params: ModelPara
     """N'(fbar + ebar) - N'(fbar) of the fields sampled by fbar and ebar,
     formed pointwise: one forward transform."""
     terms = _nprime_terms(params)
-    return to_spectral(poly_samples(fbar + ebar, terms) - poly_samples(fbar, terms))
+    inc = poly_samples(fbar + ebar, terms)
+    inc.values -= poly_samples(fbar, terms).values
+    return to_spectral(inc)
 
 
 def sav_ingredients(fbar, params: ModelParams):
@@ -115,7 +117,9 @@ def sav_ingredients(fbar, params: ModelParams):
     inverse transform."""
     p = fbar if isinstance(fbar, PhysicalField) else to_physical(fbar)
     sqrt_f1 = float(np.sqrt(_shifted_bulk(bulk_mean(p, params), params)))
-    return nprime(p, params) / sqrt_f1, sqrt_f1
+    u = nprime(p, params)
+    u.half /= sqrt_f1
+    return u, sqrt_f1
 
 
 def sqrt_f1_deviation(nu: float, c1: float) -> float:

@@ -34,7 +34,6 @@ from .field import (
     SpectralField,
     _coeff_inner,
     hermitian_violation,
-    project_mean,
     to_physical,
 )
 from .lattice import OperatorSymbol
@@ -118,7 +117,7 @@ def init_state(
 def initial_report(state: StepperState, symbol: OperatorSymbol, params: ModelParams) -> StepReport:
     """Energy row of a state's field as an initial node, from its samples."""
     nu = bulk_mean(state.samples, params)
-    return _node_report(state.phi, None, 0.0, state.r_dev, state.sqrt_c1, nu, symbol)
+    return _node_report(state.phi, 0.0, 0.0, state.r_dev, state.sqrt_c1, nu, symbol)
 
 
 @dataclass
@@ -128,18 +127,14 @@ class _StepInternals:
 
 
 def _node_report(
-    phi: SpectralField, prev: Optional[SpectralField], tau: float, r_dev: float,
+    phi: SpectralField, w_norm_sq: float, tau: float, r_dev: float,
     sqrt_c1: float, nu: float, symbol: OperatorSymbol,
 ) -> StepReport:
-    """Energy row of node field phi, reached from prev (None at the initial
-    node) over a step tau, with auxiliary deviation r_dev and bulk mean nu."""
+    """Energy row of node field phi, reached over a step tau with squared
+    rate norm w_norm_sq (both 0 at the initial node), with auxiliary
+    deviation r_dev and bulk mean nu."""
     gc = symbol.g_half * phi.half
     grad = 0.5 * _coeff_inner(gc, gc)
-    if prev is None:
-        w_norm_sq = 0.0
-    else:
-        diff = phi.half - prev.half
-        w_norm_sq = _coeff_inner(diff, diff) / (tau * tau)
     return StepReport(
         modified_energy=grad + r_dev * (2.0 * sqrt_c1 + r_dev),
         original_energy=grad + nu,
@@ -154,9 +149,14 @@ def _frozen_ratio(state: StepperState, params: ModelParams):
     whose samples are combined from the carried ones: one forward transform.
     Returns (u coefficients, sqrt_f1)."""
     v = state.samples
-    vbar = v if state.phi_prev is None else 1.5 * v - 0.5 * state.prev_samples
+    if state.phi_prev is None:
+        vbar = v
+    else:
+        vbar = PhysicalField(v.grid, v.values * 1.5, v.factor)
+        vbar.values -= state.prev_samples.values * 0.5
     u, sqrt_f1 = sav_ingredients(vbar, params)
-    return project_mean(u).half, sqrt_f1  # mass constraint: u acts in the mean-zero space
+    u.half.ravel()[u.grid.zero_index] = 0.0  # mass constraint: u acts in the mean-zero space
+    return u.half, sqrt_f1
 
 
 def _advance(
@@ -167,8 +167,11 @@ def _advance(
     tau with the ratio field u frozen.  The increment of R is taken on the
     stored fields, so an SDC refreeze of the node fields reproduces it
     exactly; phi_new is sampled once, on the grid of the state's samples."""
-    r_inc = 0.5 * _coeff_inner(phi_new.half - state.phi.half, u_c)
     v_new = to_physical(phi_new, state.samples.factor > 1)
+    diff = phi_new.half - state.phi.half
+    r_inc = 0.5 * _coeff_inner(diff, u_c)
+    w_norm_sq = _coeff_inner(diff, diff) / (tau * tau)
+    del diff
     new_state = StepperState(
         phi=phi_new,
         phi_prev=state.phi,
@@ -180,8 +183,7 @@ def _advance(
         sqrt_f1=sqrt_f1,
     )
     report = _node_report(
-        phi_new, state.phi, tau, new_state.r_dev, state.sqrt_c1,
-        bulk_mean(v_new, params), symbol,
+        phi_new, w_norm_sq, tau, new_state.r_dev, state.sqrt_c1, bulk_mean(v_new, params), symbol
     )
     return new_state, report
 
@@ -195,16 +197,27 @@ def _cn_step_full(state: StepperState, tau: float, symbol: OperatorSymbol, param
     phi_c = state.phi.half
     u_phi = _coeff_inner(u_c, phi_c)
 
-    g2 = symbol.g2_half
-    denom = 1.0 + (0.5 * tau) * g2
-    c = phi_c * (1.0 - 0.5 * tau * g2) + (0.25 * tau * u_phi - tau * state.r) * u_c
+    # (I + tau/2 G^2) phi^{n+1} = c - tau/4 s u, with both diagonals real.
+    # Arithmetic is in place and each temporary is dropped once spent, so
+    # the step's peak memory is that of _advance's inverse transform.
+    half_g2 = (0.5 * tau) * symbol.g2_half
+    denom = 1.0 + half_g2
+    np.subtract(1.0, half_g2, out=half_g2)
+    c = phi_c * half_g2
+    del half_g2
+    c += (0.25 * tau * u_phi - tau * state.r) * u_c
 
-    gamma = _coeff_inner(u_c / denom, u_c)
-    s = _coeff_inner(c / denom, u_c) / (1.0 + 0.25 * tau * gamma)
+    scratch = u_c / denom
+    gamma = _coeff_inner(scratch, u_c)
+    np.divide(c, denom, out=scratch)
+    s = _coeff_inner(scratch, u_c) / (1.0 + 0.25 * tau * gamma)
+    c -= np.multiply(0.25 * tau * s, u_c, out=scratch)
+    del scratch
     # Real diagonal maps of conjugate-symmetric data stay symmetric, so the
     # new field needs no symmetrization.
-    phi_new = SpectralField(grid, (c - 0.25 * tau * s * u_c) / denom)
+    phi_new = SpectralField(grid, np.divide(c, denom, out=c))
     phi_new.half.ravel()[grid.zero_index] = 0.0
+    del denom
 
     new_state, report = _advance(state, u_c, sqrt_f1, phi_new, tau, symbol, params)
     checks = (sqrt_f1, gamma, s, new_state.r_dev, report.original_energy, report.w_norm_sq)
@@ -224,7 +237,7 @@ def cn_step(state: StepperState, tau: float, symbol: OperatorSymbol, params: Mod
 
 def modified_energy(state: StepperState, symbol: OperatorSymbol, params: ModelParams) -> float:
     """1/2 ||G phi||^2 + R^2 - c1, the quantity the stepper provably decays."""
-    return _node_report(state.phi, None, 0.0, state.r_dev, state.sqrt_c1, 0.0, symbol).modified_energy
+    return _node_report(state.phi, 0.0, 0.0, state.r_dev, state.sqrt_c1, 0.0, symbol).modified_energy
 
 
 def evolve(

@@ -14,35 +14,39 @@ bound it.  After the predictor `_refreeze` takes the states from the
 stepper, so a predicted node costs the stepper's two transforms; after a
 sweep it re-runs the stepper's update on the corrected fields, at two
 transforms per node.  Every state samples on the grid of the block's initial
-state, which `init_state` chose.  The sweep builds the node right-hand sides
-(one forward transform each, into a row of one nodes x modes array) the
-first time it reads a trajectory, forms the extrapolants' samples by
-linearity and costs two transforms per interval past the first, so a
-one-sweep node costs fewer than seven.  `sdc_solve` reports the states and
-energy rows of each block's final pass through the same
-`on_step(i, state, report)` callback as `sav_cn.evolve`, and returns
-`(state, reports)` as it does.
+state, which `init_state` chose.  Each sweep builds the node right-hand
+sides (one forward transform each, into a row of one nodes x modes array),
+forms the extrapolants' samples by linearity and costs two transforms per
+interval past the first, so a one-sweep node costs fewer than seven.
+`sdc_solve` reports the states and energy rows of each block's final pass
+through the same `on_step(i, state, report)` callback as `sav_cn.evolve`,
+and returns `(state, reports)` as it does.
 
 Large node counts are handled by partitioning [0, T] into blocks of at most
 `block` intervals (4096 by default, at least two per block), applying
 predictor + sweeps per block and chaining the endpoint states.  A block
-holds, per node, its field in the half layout (16 (N/2 + 1) / N bytes per
-mode, N the last axis size: 8.7 at N = 24), during a sweep its right-hand
-side in the same layout, and its samples (8 bytes per mode, 2^n times that
-on the refined product grid of an n-axis index grid).  The closed-form
-quadrature needs no node-count guard: it matches exact interval integrals
-to round-off at thousands of nodes.
+holds three arrays per node: its field in the half layout (16 (N/2 + 1) / N
+bytes per mode, N the last axis size: 8.7 at N = 24), its samples (8 bytes
+per mode, 2^n times that on the refined product grid of an n-axis index
+grid) and, during a sweep, its row of the sweep's array in the half layout.
+That row holds the node's right-hand side, then an interval quadrature, then
+a corrected field, which the next pass takes as its node field: 8.4 MB per
+node on the 24^4 grid.  `sdc_solve` checks `block_bytes` against physical
+memory before a block is predicted.  The closed-form quadrature needs no
+node-count guard: it matches exact interval integrals to round-off at
+thousands of nodes.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
-from .field import SpectralField, enforce_hermitian, project_mean, to_physical
+from .errors import ConfigError, NumericalError
+from .field import PhysicalField, SpectralField, enforce_hermitian, to_physical
 from .lattice import OperatorSymbol
 from .model import ModelParams, nprime, nprime_increment
 from .sav_cn import StepperState, StepReport, _advance, _frozen_ratio, evolve, init_state
@@ -53,10 +57,15 @@ __all__ = [
     "SdcTrajectory",
     "cheb_nodes",
     "integration_matrix",
+    "block_bytes",
     "predict",
     "correct",
     "sdc_solve",
 ]
+
+# Floats of every node row the quadrature forms at a time: its scratch is
+# nodes x QUAD_BLOCK floats, 64 KiB per node.
+QUAD_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +141,18 @@ def integration_matrix(grid: ChebGrid) -> IntegrationMatrix:
 @dataclass(eq=False)
 class SdcTrajectory:
     """One block's node states and energy rows, built only by `_refreeze`;
-    the sweep reads each node's facts off its state.  The sweep's right-hand
-    sides `ws` are built by the first `correct` along the trajectory."""
+    the sweep reads each node's facts off its state.
+
+    `ws` is the (nodes, modes) array of the last `correct` along the
+    trajectory, None before one.  `correct` fills it with each node's
+    mean-free G^2 phi + N'(phi) and leaves in it, for n < M - 1, node n+1's
+    corrected field in row n (the returned fields view those rows); rows
+    M - 1 and M hold spent values."""
 
     grid: ChebGrid
     states: List[StepperState]   # stepper state per node, sampled on the block's grid
     reports: List[StepReport]    # energy row per node past the initial one
-    ws: Optional[np.ndarray] = None  # (nodes, modes): mean-free G^2 phi + N'(phi) per node
+    ws: Optional[np.ndarray] = None  # the sweep's working array; see above
 
     @property
     def phis(self) -> tuple:
@@ -179,8 +193,16 @@ def correct(
     states froze it; only the argument of N' sees the error.  The bracket is
     formed pointwise from samples: those of fbar combine the samples the node
     states carry, those of ebar the samples of eps^n and eps^{n-1}, taken on
-    the same grid.  The node right-hand sides, one forward transform each,
-    are built on the first sweep along `traj` and kept in `traj.ws`.
+    the same grid.
+
+    The sweep works in one nodes x modes array, `traj.ws`, rebuilt on every
+    call: it takes the node right-hand sides (one forward transform each),
+    then rows 0 .. M-1 are overwritten by the quadratures Q^n, and row n by
+    the corrected field of node n+1 once interval n has read Q^n.  The
+    returned fields of the inner nodes are views of those rows; the first is
+    the initial state's field and the last has an array of its own, so the
+    next block, which starts from that field alone, does not keep `ws`
+    alive.  The trajectory's states are not modified.
     """
     taus = traj.grid.taus
     n_t = taus.size
@@ -188,47 +210,78 @@ def correct(
     states = traj.states
     grid0 = states[0].phi.grid
     zero = grid0.zero_index
-    if traj.ws is None:
-        traj.ws = np.empty((n_t + 1, states[0].phi.half.size), dtype=complex)
-        for row, st in zip(traj.ws, states):
-            # The stepped flow is the mean-constrained one, so its right-hand
-            # side carries no zero mode.
-            np.multiply(st.phi.half.ravel(), g2.ravel(), out=row)
-            row += nprime(st.samples, params).half.ravel()
-            row[zero] = 0.0
+    traj.ws = ws = np.empty((n_t + 1, states[0].phi.half.size), dtype=complex)
+    for row, st in zip(ws, states):
+        # The stepped flow is the mean-constrained one, so its right-hand
+        # side carries no zero mode.
+        np.multiply(st.phi.half.ravel(), g2.ravel(), out=row)
+        row += nprime(st.samples, params).half.ravel()
+        row[zero] = 0.0
+    _quadratures_in_place(ws, S.S)
 
-    # The quadrature sums over nodes by numpy's own loops on the float view,
-    # not by a threaded BLAS product, so it does not depend on the thread count.
-    ws = traj.ws.view(np.float64)
-    eps = SpectralField(grid0, np.zeros_like(states[0].phi.half))
+    factor = states[0].samples.factor
+    eps = np.zeros(grid0.half_sizes, dtype=complex)
     e_prev = None  # samples of eps^{n-1}; eps^0 = 0 is never sampled
     out = [states[0].phi]
     for n in range(n_t):
         tau = float(taus[n])
         a, b = states[n], states[n + 1]
-        rhs = (
-            eps.half * (1.0 - 0.5 * tau * g2)
-            - np.einsum("m,mk->k", S.S[n], ws).view(complex).reshape(grid0.half_sizes)
-            - (b.phi.half - a.phi.half)
-        )
+        rhs = ws[n].reshape(grid0.half_sizes)  # Q^n, overwritten by the right-hand side
+        np.subtract(eps * (1.0 - 0.5 * tau * g2), rhs, out=rhs)
+        rhs -= b.phi.half - a.phi.half
         if n:
-            e = to_physical(eps, a.samples.factor > 1)
-            ebar = 1.5 * e if e_prev is None else 1.5 * e - 0.5 * e_prev
-            bracket = nprime_increment(1.5 * a.samples - 0.5 * states[n - 1].samples, ebar, params)
-            kappa = (states[0].sqrt_c1 + 0.5 * (a.r_dev + b.r_dev)) / b.sqrt_f1
-            rhs -= tau * kappa * project_mean(bracket).half
+            e = to_physical(SpectralField(grid0, eps), factor > 1).values
+            del eps  # spent; eps^{n+1} is formed in rhs
+            # Samples are combined in place and dropped once spent, so the
+            # bracket's own temporaries set the sweep's peak.
+            ebar = e * 1.5
+            if e_prev is not None:
+                e_prev *= 0.5
+                ebar -= e_prev
             e_prev = e
+            fbar = a.samples.values * 1.5
+            fbar -= states[n - 1].samples.values * 0.5
+            bracket = nprime_increment(
+                PhysicalField(grid0, fbar, factor), PhysicalField(grid0, ebar, factor), params
+            ).half
+            del fbar, ebar
+            bracket.ravel()[zero] = 0.0
+            kappa = (states[0].sqrt_c1 + 0.5 * (a.r_dev + b.r_dev)) / b.sqrt_f1
+            bracket *= tau * kappa
+            rhs -= bracket
+            del bracket
+        np.divide(rhs, 1.0 + 0.5 * tau * g2, out=rhs)
         # The projection keeps the correction exactly conjugate-symmetric
         # and off the modes that are not live, whatever the rounding above.
-        eps_new = enforce_hermitian(SpectralField(grid0, rhs / (1.0 + 0.5 * tau * g2)))
-        zc = eps_new.half.ravel()[zero]
+        eps = enforce_hermitian(SpectralField(grid0, rhs)).half
+        zc = eps.ravel()[zero]
         if not abs(zc) <= 1e-13:  # also trips on a non-finite correction
             raise NumericalError(f"the correction moved the zero mode to {zc!r}")
-        eps_new.half.ravel()[zero] = 0.0
+        eps.ravel()[zero] = 0.0
 
-        out.append(b.phi + eps_new)
-        eps = eps_new
+        # Q^n is spent, so its row takes node n+1's corrected field.
+        field = np.add(b.phi.half, eps, out=None if n == n_t - 1 else rhs)
+        out.append(SpectralField(grid0, field))
     return out
+
+
+def _quadratures_in_place(ws: np.ndarray, S: np.ndarray) -> None:
+    """Overwrite rows 0 .. M-1 of the (M+1) x modes array ws with the
+    interval quadratures S[n] . ws, QUAD_BLOCK floats of every row at a
+    time, so the scratch is M x QUAD_BLOCK floats whatever the mode count.
+
+    The sums over nodes run by numpy's own loops on the float view, not by
+    a threaded BLAS product, so they do not depend on the thread count, and
+    each column sums in the same order whatever block it falls in."""
+    wf = ws.view(np.float64)
+    n_t = S.shape[0]
+    q = np.empty((n_t, min(QUAD_BLOCK, wf.shape[1])))
+    for lo in range(0, wf.shape[1], QUAD_BLOCK):
+        cols = wf[:, lo : lo + QUAD_BLOCK]
+        qb = q[:, : cols.shape[1]]
+        for n in range(n_t):
+            np.einsum("m,mk->k", S[n], cols, out=qb[n])
+        cols[:n_t] = qb
 
 
 def _refreeze(
@@ -278,6 +331,38 @@ def _sdc_blocks(n_t: int, sweeps: int, block: int) -> List[int]:
     return [base + 1] * rem + [base] * (n_blocks - rem)
 
 
+def block_bytes(state: StepperState, count: int, sweeps: int) -> int:
+    """Bytes of node storage an SDC block of `count` intervals from `state`
+    holds at once: per node its half-layout field and its samples, plus,
+    when it sweeps, one row of the sweep's nodes x modes array."""
+    row = state.phi.half.nbytes if sweeps else 0
+    return (count + 1) * (state.phi.half.nbytes + state.samples.values.nbytes + row)
+
+
+def _physical_memory() -> Optional[int]:
+    """Physical memory in bytes, None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_block_memory(state: StepperState, count: int, sweeps: int) -> None:
+    """Raise ConfigError when a block of `count` intervals would not fit in
+    physical memory, naming the largest block that would."""
+    memory = _physical_memory()
+    need = block_bytes(state, count, sweeps)
+    if memory is None or need <= memory:
+        return
+    fit = memory // block_bytes(state, 0, sweeps) - 1  # nodes that fit, less one
+    advice = f"set block <= {fit}" if fit >= 2 else "no block of two intervals fits"
+    raise ConfigError(
+        f"an SDC block of {count} intervals stores {need / 2**30:.1f} GiB of node "
+        f"fields and samples, more than the {memory / 2**30:.1f} GiB of physical "
+        f"memory; {advice}"
+    )
+
+
 def sdc_solve(
     state: StepperState,
     T: float,
@@ -296,8 +381,10 @@ def sdc_solve(
     to plain predictor stepping on the Chebyshev nodes.
 
     Horizons with more than `block` intervals are split into near-equal
-    blocks chained at their endpoints; lower `block` when the per-node
-    trajectory storage would not fit in memory.  Avoid very deep chains
+    blocks chained at their endpoints.  A block whose node storage
+    (`block_bytes`) exceeds physical memory raises ConfigError before
+    anything is predicted, naming the largest `block` that fits; the run is
+    not re-blocked, because chaining changes results.  Avoid very deep chains
     (hundreds of blocks): the predictor leaves an undamped ringing component
     in strongly damped modes, and re-seeding it across many blocks lets the
     sweep amplify what a single grid keeps at round-off.
@@ -307,6 +394,7 @@ def sdc_solve(
     state on the corrected trajectory and its time set to the node time.
     """
     counts = _sdc_blocks(int(n_t), int(sweeps), int(block))
+    _check_block_memory(state, counts[0], sweeps)  # the first block is the largest
     matrices: dict = {}  # t_b is a function of count
     reports: List[StepReport] = []
     t_offset = 0.0

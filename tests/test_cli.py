@@ -129,6 +129,20 @@ def test_sdc_time_settings_rejected_before_output(tmp_path, capsys, time):
     assert not (tmp_path / "out").exists()
 
 
+def test_sdc_block_too_large_for_memory_exit_code(tmp_path, capsys, monkeypatch):
+    # a block whose node storage exceeds physical memory is a config error
+    # that names the block size that would fit
+    import ipfc.sdc as sdc_mod
+
+    cfg = tmp_path / "sdc.cfg"
+    cfg.write_text(CONFIG.replace("nt = 8", "nt = 8\nscheme = sav_cn_sdc"))
+    # room for four nodes: field, samples and sweep row are 272 + 256 + 272
+    # bytes on 32 points
+    monkeypatch.setattr(sdc_mod, "_physical_memory", lambda: 4 * 800)
+    assert main(["evolve", str(cfg)]) == 1
+    assert "set block <= 3" in capsys.readouterr().err
+
+
 def test_convergence_settings_rejected_before_output(tmp_path, capsys):
     # nt = 1 cannot form an SDC block; the study is refused before its
     # reference solve and before its output directory exists
