@@ -8,11 +8,13 @@ mean spatial inner product with no extra factors.
 Fields are real, so a field stores only the half layout of its
 coefficients (see `IndexGrid`) and transforms are real-data ones.  The
 library does not read the full layout: full-layout data enters only
-through `field_from_coeffs`, which folds it in, `load_field` and
-`IndexGrid.unfold`, and the text dumps, the raster and the spectrum read
-the half layout directly.  `SpectralField.coeffs` unfolds a field for
+through `field_from_coeffs`, which folds it in, and `IndexGrid.unfold`;
+listed modes (`field_from_listed`, `load_field`) are scattered straight
+into the half layout, and the text dumps, the raster and the spectrum
+read the half layout directly.  `SpectralField.coeffs` unfolds a field for
 callers outside the library.  Fields are made exactly conjugate-symmetric
-by the fold (`field_from_coeffs`, `load_field`) and by `to_spectral`.
+by the fold (`field_from_coeffs`, `field_from_listed`) and by
+`to_spectral`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "PhysicalField",
     "zeros_field",
     "field_from_coeffs",
+    "field_from_listed",
     "enforce_hermitian",
     "hermitian_violation",
     "project_mean",
@@ -150,17 +153,43 @@ def field_from_coeffs(grid: IndexGrid, coeffs) -> SpectralField:
     half-layout array."""
     full = np.asarray(coeffs, dtype=np.complex128).reshape(grid.sizes)
     h = grid.half_sizes[-1]
-    return _pair_mean(grid, np.conj(mirrored(full)[..., :h]), full[..., :h])
-
-
-def _pair_mean(grid: IndexGrid, conj_mirror: np.ndarray, own) -> SpectralField:
-    """Field of the half-layout pair means (conj_mirror + own) / 2, zeroed
-    off the live modes; accumulates into `conj_mirror`."""
-    conj_mirror += own
-    conj_mirror *= 0.5
+    half = np.conj(mirrored(full)[..., :h])
+    half += full[..., :h]
+    half *= 0.5
     if not grid.all_live:
-        conj_mirror *= grid.live_mask
-    return SpectralField(grid, conj_mirror)
+        half *= grid.live_mask
+    return SpectralField(grid, half)
+
+
+def field_from_listed(grid: IndexGrid, pos: np.ndarray, values) -> SpectralField:
+    """Field of the coefficients `values` at distinct mod-N positions `pos`
+    (one row each) and zero elsewhere, folded bitwise as by
+    `field_from_coeffs`, without a full-layout array.  Each value is c_h at
+    its own half-layout position and c_-h at its mirror's, and a position
+    takes the pair mean (conj(c_mirror) + c_own) / 2 of what lands there;
+    a missing term reads as the 0 that the full fold reads, signed zeros
+    included (conj(0) = 0 - 0j), and every other position is exactly 0."""
+    values = np.asarray(values, dtype=np.complex128)
+    half = np.zeros(grid.half_sizes, dtype=np.complex128)
+    out = half.ravel()
+    own = pos[:, -1] < grid.half_sizes[-1]
+    mirror = -pos % np.array(grid.sizes)
+    seen = mirror[:, -1] < grid.half_sizes[-1]
+    own_at, mirror_at = (
+        np.ravel_multi_index(tuple(p.T), grid.half_sizes) for p in (pos[own], mirror[seen])
+    )
+    out[own_at] = np.conj(0j)
+    out[mirror_at] = np.conj(values[seen])
+    out[own_at] += values[own]
+    has_own = np.zeros(out.size, dtype=bool)
+    has_own[own_at] = True
+    lone = mirror_at[~has_own[mirror_at]]
+    out[lone] += 0j
+    touched = np.concatenate([own_at, lone])
+    out[touched] *= 0.5
+    if not grid.all_live:
+        out[touched] *= grid.live_mask.ravel()[touched]
+    return SpectralField(grid, half)
 
 
 def enforce_hermitian(f: SpectralField) -> SpectralField:
@@ -355,7 +384,8 @@ def dump_field(f: SpectralField, fileobj) -> None:
     value are formatted once.  A line's imaginary sign is that of the
     stored value, flipped on lines past the half, which hold its conjugate;
     a "-" before the magnitude's "%.17g" is exact for every finite value,
-    +-0 included.  Lines are written DUMP_CHUNK_LINES at a time."""
+    +-0 included.  Lines are built and written DUMP_CHUNK_LINES at a time,
+    integer tables (modes, the half position each line reads) included."""
     grid = f.grid
     n = len(grid.sizes)
     sizes = ",".join(str(s) for s in grid.sizes)
@@ -363,41 +393,36 @@ def dump_field(f: SpectralField, fileobj) -> None:
     kept = np.abs(f.half) > DUMP_THRESHOLD
     keep = np.flatnonzero(grid.unfold(kept))
     formatted = np.flatnonzero(kept)
-    modes = grid.modes(keep)
-    # the half position each line reads: its own, or its mirror's past the half
-    mirror = keep % grid.sizes[-1] >= grid.half_sizes[-1]
-    src = np.where(mirror[:, None], -modes, modes) % np.array(grid.sizes)
-    rank = np.searchsorted(formatted, np.ravel_multi_index(tuple(src.T), grid.half_sizes))
     values = f.half.ravel()[formatted]
     real, magnitude = (
         np.array(("%.17g\n" * len(values) % tuple(part.tolist())).split("\n")[:-1], dtype=object)
         for part in (values.real, np.abs(values.imag))
     )
-    sign = np.where(np.signbit(values.imag)[rank] != mirror, "-", "").astype(object)
+    negative = np.signbit(values.imag)
     line = "%d " * n + "%s %s%s\n"
     for lo in range(0, len(keep), DUMP_CHUNK_LINES):
-        r, chunk = rank[lo : lo + DUMP_CHUNK_LINES], slice(lo, lo + DUMP_CHUNK_LINES)
-        cols = [c.tolist() for c in modes[chunk].T]
-        cols += [real[r].tolist(), sign[chunk].tolist(), magnitude[r].tolist()]
+        flat = keep[lo : lo + DUMP_CHUNK_LINES]
+        modes = grid.modes(flat)
+        # the half position each line reads: its own, or its mirror's past the half
+        mirror = flat % grid.sizes[-1] >= grid.half_sizes[-1]
+        src = np.where(mirror[:, None], -modes, modes) % np.array(grid.sizes)
+        r = np.searchsorted(formatted, np.ravel_multi_index(tuple(src.T), grid.half_sizes))
+        cols = [c.tolist() for c in modes.T]
+        cols += [real[r].tolist(), np.where(negative[r] != mirror, "-", "").tolist()]
+        cols.append(magnitude[r].tolist())
         fileobj.write((line * len(r)) % tuple(itertools.chain.from_iterable(zip(*cols))))
 
 
 def load_field(fileobj, grid: IndexGrid) -> SpectralField:
     """Read a portable dump back onto an existing grid (header must match).
-    A mode listed twice takes its last value.  Each line is scattered
-    straight into the half layout, as c_h at its own position and as c_-h
-    at its mirror's, and the modes are folded as by `field_from_coeffs`."""
+    A mode listed twice takes its last value; the lines are folded by
+    `field_from_listed`."""
     pos, values = _read_dump(fileobj, grid)
     # keep the last line of each mode
     flat = np.ravel_multi_index(tuple(pos.T), grid.sizes)
     _, last = np.unique(flat[::-1], return_index=True)
     last = len(flat) - 1 - last
-    pos, values = pos[last], values[last]
-    own, mirror = (np.zeros(grid.half_sizes, dtype=np.complex128) for _ in range(2))
-    for out, p in ((own, pos), (mirror, -pos % np.array(grid.sizes))):
-        inside = p[:, -1] < grid.half_sizes[-1]
-        out.ravel()[np.ravel_multi_index(tuple(p[inside].T), grid.half_sizes)] = values[inside]
-    return _pair_mean(grid, np.conjugate(mirror, out=mirror), own)
+    return field_from_listed(grid, pos[last], values[last])
 
 
 def _read_dump(fileobj, grid: IndexGrid):

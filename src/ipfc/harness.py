@@ -26,6 +26,7 @@ from .field import (
     SpectralField,
     dump_field,
     field_from_coeffs,
+    field_from_listed,
     load_field,
     norm_ap,
     project_mean,
@@ -516,13 +517,16 @@ def ring_star_modes(
 
 
 def field_from_modes(grid: IndexGrid, modes) -> SpectralField:
-    """Accumulate amplitude * exp(i phase) at each listed mode, then
-    symmetrize and project out the mean."""
-    c = np.zeros(grid.sizes, dtype=complex)
-    flat = c.ravel()
-    for h, amp, phase in modes:
-        flat[grid.flat_index(h)] += amp * np.exp(1j * phase)
-    return project_mean(field_from_coeffs(grid, c))
+    """Accumulate amplitude * exp(i phase) at each listed mode, in list
+    order, then symmetrize and project out the mean, in the half layout."""
+    flat = np.array([grid.flat_index(h) for h, _, _ in modes], dtype=np.intp)
+    keys, where = np.unique(flat, return_inverse=True)
+    values = np.zeros(len(keys), dtype=complex)
+    listed = [amp * np.exp(1j * phase) for _, amp, phase in modes]
+    np.add.at(values, where, np.array(listed, dtype=complex))
+    f = field_from_listed(grid, np.stack(np.unravel_index(keys, grid.sizes), axis=-1), values)
+    f.half.ravel()[grid.zero_index] = 0.0
+    return f
 
 
 def banded_noise_field(symbol: OperatorSymbol, scale: float, seed: int) -> SpectralField:
@@ -545,11 +549,10 @@ def build_initial(cfg: ExperimentConfig, grid: IndexGrid, base_dir: str = ".") -
     icfg = cfg.initial
     if icfg.kind == "sine":
         e1 = tuple([1] + [0] * (len(grid.sizes) - 1))
-        plus, minus = (_rule("initial", grid.flat_index, h) for h in (e1, tuple(-v for v in e1)))
-        c = np.zeros(grid.sizes, dtype=complex)
-        c.ravel()[plus] = -0.5j * icfg.amplitude
-        c.ravel()[minus] = 0.5j * icfg.amplitude
-        return field_from_coeffs(grid, c)
+        flat = [_rule("initial", grid.flat_index, h) for h in (e1, tuple(-v for v in e1))]
+        pos = np.stack(np.unravel_index(flat, grid.sizes), axis=-1)
+        amp = icfg.amplitude
+        return field_from_listed(grid, pos, [-0.5j * amp, 0.5j * amp])
     if icfg.kind == "mode_list":
         return _rule("initial", field_from_modes, grid, icfg.modes)
     path = os.path.join(base_dir, icfg.file)

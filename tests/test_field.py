@@ -1,4 +1,6 @@
 import io
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +27,7 @@ from ipfc import (
     zeros_field,
 )
 from ipfc._kernels import mirrored
+from ipfc.harness import dodecagonal_projection
 
 from conftest import cosine_field, grid_1d, random_field
 
@@ -260,6 +263,29 @@ def test_dump_round_trip_bit_exact(rng, dodecagonal_small):
         dump_field(loaded, buf2)
         assert buf2.getvalue() == text
         np.testing.assert_array_equal(loaded.coeffs, f.coeffs)
+
+
+def test_dump_field_peak_memory_is_bounded():
+    # a 24^4 dump of 55,000 lines, as cn_ddqc24 writes: the per-line integer
+    # tables (modes, the half positions read, mirror flags) are built one
+    # chunk of lines at a time; built for every line at once they took the
+    # peak to 11.3 MiB.  Most of what is left is the formatted values.
+    spec = ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4))
+    grid = build_grid(spec, (24, 24, 24, 24))
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
+    c *= rng.random(grid.sizes) < 0.1
+    f = field_from_coeffs(grid, c)
+    del c
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dump_field(f, fh)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak <= 9 << 20
 
 
 def test_dump_drops_tiny_coefficients():

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipfc import (
     ConfigError,
@@ -13,6 +14,7 @@ from ipfc import (
     dump_field,
     field_from_coeffs,
     parse_config,
+    project_mean,
     serialize_config,
     spectrum_report,
     zeros_field,
@@ -240,6 +242,38 @@ def test_field_from_modes_sets_amplitudes():
     for h, a, ph in modes:
         assert f.coeffs.ravel()[grid.flat_index(h)] == pytest.approx(0.25)
     assert abs(f.coeffs.ravel()[grid.zero_index]) == 0.0
+
+
+def _field_from_modes_full_layout(grid, modes):
+    """`field_from_modes` by its full-layout route: accumulate every mode
+    into a full-layout array, fold it by `field_from_coeffs`, then remove
+    the mean."""
+    c = np.zeros(grid.sizes, dtype=complex)
+    for h, amp, phase in modes:
+        c.ravel()[grid.flat_index(h)] += amp * np.exp(1j * phase)
+    return project_mean(field_from_coeffs(grid, c))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["1d", "2d", "ddqc"]), st.data())
+def test_field_from_modes_matches_full_layout_route_bitwise(which, data):
+    # duplicates, modes on -N/2 planes (the last entry is -N/2 on every
+    # axis), the zero mode, modes that are not live (dodecagonal) and signed
+    # zeros among amplitudes and phases
+    spec, sizes = {
+        "1d": (ProjectionSpec.identity(1), (8,)),
+        "2d": (ProjectionSpec.identity(2), (6, 8)),
+        "ddqc": (ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4)), (4, 4, 4, 4)),
+    }[which]
+    grid = build_grid(spec, sizes)
+    mode = st.tuples(*(st.integers(-(nj // 2), nj // 2 - 1) for nj in sizes))
+    entry = st.tuples(mode, st.floats(-2.0, 2.0), st.floats(-4.0, 4.0))
+    modes = data.draw(st.lists(entry, max_size=12))
+    if modes:
+        modes += data.draw(st.lists(st.sampled_from(modes), max_size=4))
+    modes.append((tuple(-(nj // 2) for nj in sizes), *data.draw(entry)[1:]))
+    got, want = field_from_modes(grid, modes), _field_from_modes_full_layout(grid, modes)
+    assert np.array_equal(got.half.view(np.uint64), want.half.view(np.uint64))
 
 
 def test_build_initial_sine():

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ipfc import (
     ProjectionSpec,
@@ -84,8 +86,9 @@ _SQRT2 = float(np.sqrt(2.0))
     ],
 )
 def test_injectivity_scan_matches_brute_force(P, sizes):
-    # the half-lattice slab scan finds a violation exactly when the pairwise
-    # scan does, and reports an in-range pair that far apart
+    # the meet-in-the-middle search of the difference lattice finds a
+    # violation exactly when the pairwise scan does, and reports an in-range
+    # pair that far apart
     P = np.array(P, dtype=float)
     spec = ProjectionSpec(d=P.shape[0], n=P.shape[1], P=P, B=np.eye(P.shape[1]))
     tol = lattice.INJECTIVITY_TOL
@@ -104,6 +107,63 @@ def test_injectivity_scan_matches_brute_force(P, sizes):
     assert dist == pytest.approx(brute, abs=1e-15)
     with pytest.raises(ValueError, match="not injective"):
         build_grid(spec, sizes)
+
+
+@st.composite
+def _projection_cases(draw):
+    """Random P and B (d <= 3, n <= 4, sizes in {2, 4, 6}); most get a
+    collision planted at a random in-range delta: exact, or `plant` times
+    INJECTIVITY_TOL apart."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, min(n, 3)))
+    sizes = tuple(draw(st.sampled_from((2, 4, 6))) for _ in range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.standard_normal((d, n))
+    B = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    assume(abs(np.linalg.det(B)) > 1e-3)
+    plant = draw(st.sampled_from((None, 0.0, 0.45, 0.9, 1.1, 2.2)))
+    if plant is not None:
+        delta = np.array([draw(st.integers(1 - nj, nj - 1)) for nj in sizes])
+        v = B @ delta
+        assume(v @ v >= 1.0)
+        u = rng.standard_normal(d)
+        target = plant * lattice.INJECTIVITY_TOL * u / np.linalg.norm(u)
+        P = P - np.outer(P @ v - target, v) / (v @ v)  # now P B delta = target
+    return ProjectionSpec(d=d, n=n, P=P, B=B), sizes
+
+
+@settings(deadline=None)
+@given(_projection_cases(), st.sampled_from((1, 3, lattice.INJECTIVITY_CHUNK)))
+def test_injectivity_search_matches_brute_force_on_random_projections(case, chunk):
+    # the in-range multiples k/m (k, m <= 5) of a planted delta lie k/m
+    # times as far apart, and every such distance sits 10% or more from the
+    # tolerance, far beyond the rounding of either computation (about 1e-14
+    # here); small chunks split the leading deltas and their candidates
+    spec, sizes = case
+    tol = lattice.INJECTIVITY_TOL
+    brute = _brute_min_distance(spec, sizes)
+    with mock.patch.object(lattice, "INJECTIVITY_CHUNK", chunk):
+        hit = lattice._injectivity_violation(spec, sizes, tol)
+    assert (hit is not None) == (brute < tol)
+    if hit is None:
+        return
+    h1, h2, dist = hit
+    half = np.array(sizes) // 2
+    for h in (h1, h2):
+        assert np.all(-half <= h) and np.all(h <= half - 1)
+    assert np.any(h1 != h2)
+    assert dist == pytest.approx(np.linalg.norm(spec.projected_basis @ (h1 - h2)), abs=1e-12)
+    assert dist == pytest.approx(brute, abs=1e-12)
+
+
+def test_projected_basis_is_computed_once_read_only():
+    P = dodecagonal_projection()
+    B = np.random.default_rng(2).standard_normal((4, 4)) + 2.0 * np.eye(4)
+    spec = ProjectionSpec(d=2, n=4, P=P, B=B)
+    assert spec.projected_basis is spec.projected_basis
+    assert np.array_equal(spec.projected_basis.view(np.uint64), (spec.P @ spec.B).view(np.uint64))
+    with pytest.raises(ValueError, match="read-only"):
+        spec.projected_basis[0, 0] = 1.0
 
 
 def test_dodecagonal_grid_mode_count():
@@ -178,6 +238,32 @@ def test_grid_build_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 8 << 20
+
+
+@pytest.mark.parametrize(
+    "spec, sizes",
+    [
+        # the trailing axes' projected differences are 0 in two of the four
+        # coordinates and take 47 values in the others, so every leading
+        # difference has 47 candidates: 53,016 pairs in all
+        (ProjectionSpec.identity(4), (24, 24, 24, 24)),
+        # one slab of 65,537 rows, and 131,072 leading differences against
+        # the one empty trailing difference
+        (ProjectionSpec.identity(1), (1 << 17,)),
+    ],
+    ids=["identity-24^4", "1d-2^17"],
+)
+def test_grid_build_peak_memory_is_bounded_on_crowded_and_1d_grids(spec, sizes):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        grid = build_grid(spec, sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.all_live
     assert peak <= 8 << 20
 
 
@@ -409,4 +495,22 @@ def test_grid_build_matches_wavevectors_of_every_position():
         own, mirror = (np.ravel_multi_index(tuple(p.T), sizes) for p in (pos, -pos % sizes))
         ksq, ksq_mirror = ((grid.wavevectors(f) ** 2).sum(axis=1) for f in (own, mirror))
         assert np.array_equal(grid.ksq.ravel().view(np.uint64), ksq.view(np.uint64)), case
+        assert np.array_equal(grid.live_mask.ravel(), ksq == ksq_mirror), case
+
+
+def test_grid_build_matches_wavevectors_where_mirror_norms_tie():
+    # With orthogonal columns of P B, a mode on the last axis's -N/2 plane
+    # and its mod-N mirror have the same |k|^2 in exact arithmetic, so the
+    # live mask there rests on rounding: it is bitwise that of the
+    # wavevectors, whatever the number of rows the build multiplies at once
+    rng = np.random.default_rng(1)
+    for case in range(50):
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        sizes = tuple(int(s) for s in rng.choice([4, 6, 8], size=2))
+        P = rot * rng.uniform(0.5, 2.0, size=2)
+        grid = lattice.IndexGrid(ProjectionSpec(d=2, n=2, P=P, B=np.eye(2)), sizes)
+        pos = np.stack(np.unravel_index(np.arange(grid.ksq.size), grid.half_sizes), axis=-1)
+        own, mirror = (np.ravel_multi_index(tuple(p.T), sizes) for p in (pos, -pos % sizes))
+        ksq, ksq_mirror = ((grid.wavevectors(f) ** 2).sum(axis=1) for f in (own, mirror))
         assert np.array_equal(grid.live_mask.ravel(), ksq == ksq_mirror), case
