@@ -8,17 +8,21 @@ import numpy as np
 __all__ = ["poly_eval", "mirrored", "hermitian_pair_mean", "bohr_fourier_sum"]
 
 
-def poly_eval(values: np.ndarray, terms) -> np.ndarray:
+def poly_eval(values: np.ndarray, terms, out=None) -> np.ndarray:
     """sum of c * values**p over the (p, c) terms, by Horner's rule over the
-    dense coefficient vector; exponents are non-negative integers."""
+    dense coefficient vector, into `out` (a new array by default; never
+    `values` itself).  Exponents are non-negative integers, the largest at
+    least 1."""
     dense = np.zeros(max(int(p) for p, _ in terms) + 1)
     for p, c in terms:
         dense[int(p)] += c
-    out = np.full_like(values, dense[-1], dtype=float)
-    for c in dense[-2::-1]:
-        out *= values
+    out = np.multiply(values, dense[-1], out=out)  # the top coefficient, times values
+    for c in dense[-2:0:-1]:
         if c:
             out += c
+        out *= values
+    if dense[0]:
+        out += dense[0]
     return out
 
 

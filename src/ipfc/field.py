@@ -186,7 +186,12 @@ def field_from_listed(grid: IndexGrid, pos: np.ndarray, values) -> SpectralField
     lone = mirror_at[~has_own[mirror_at]]
     out[lone] += 0j
     touched = np.concatenate([own_at, lone])
-    out[touched] *= 0.5
+    # numpy multiplies a single complex value by another route than an
+    # array, which can round a halved subnormal's signed zero differently
+    # from the fold's whole-array product; a second, zero, position keeps
+    # it on the array route (0 * 0.5 is 0).
+    scaled = touched if len(touched) != 1 else np.append(touched, (touched[0] + 1) % out.size)
+    out[scaled] *= 0.5
     if not grid.all_live:
         out[touched] *= grid.live_mask.ravel()[touched]
     return SpectralField(grid, half)
@@ -203,13 +208,16 @@ def enforce_hermitian(f: SpectralField) -> SpectralField:
     extreme planes of projected grids) cannot host real content compatibly
     with the diagonal symbols and are zeroed.
     """
-    grid = f.grid
-    out = f.half.copy()
+    return SpectralField(f.grid, _symmetrize(f.half.copy(), f.grid))
+
+
+def _symmetrize(half: np.ndarray, grid: IndexGrid) -> np.ndarray:
+    """`enforce_hermitian` in place on a half-layout array; returns it."""
     for col in (0, -1):
-        out[..., col] = hermitian_pair_mean(out[..., col])
+        half[..., col] = hermitian_pair_mean(half[..., col])
     if not grid.all_live:
-        out *= grid.live_mask
-    return SpectralField(grid, out)
+        half *= grid.live_mask
+    return half
 
 
 def hermitian_violation(f: SpectralField) -> float:
@@ -254,27 +262,42 @@ def norm_ap(f: SpectralField) -> float:
     return float(np.sqrt(max(_coeff_inner(f.half, f.half), 0.0)))
 
 
-def to_physical(f: SpectralField, dealias: bool = False) -> PhysicalField:
+def to_physical(f: SpectralField, dealias: bool = False, consume: bool = False) -> PhysicalField:
     """Inverse real-data transform to collocation values, on the grid
-    refined by PAD_FACTOR when `dealias` is set."""
+    refined by PAD_FACTOR when `dealias` is set.
+
+    The passes of `np.fft.irfftn` run one by one: complex inverse passes
+    over the leading axes, in place on one working array, then a real
+    inverse pass over the last axis into the samples.  The working array
+    is a copy of f's coefficients, or with `consume` the coefficients
+    themselves, which it may overwrite: for callers done with f.  On the
+    refined grid it is the padded array either way."""
     if dealias:
-        half, factor = _embed_padded(f.half, f.grid.sizes, PAD_FACTOR), PAD_FACTOR
+        work, factor = _embed_padded(f.half, f.grid.sizes, PAD_FACTOR), PAD_FACTOR
+        out = work
     else:
-        half, factor = f.half, 1
+        work, factor = f.half, 1
+        out = work if consume else None
     sizes = tuple(factor * nj for nj in f.grid.sizes)
-    vals = np.fft.irfftn(half, s=sizes, axes=tuple(range(len(sizes))))
+    for ax in range(len(sizes) - 1):
+        work = out = np.fft.ifft(work, axis=ax, out=out)
+    vals = np.fft.irfft(work, n=sizes[-1], axis=-1)
     vals *= vals.size
     return PhysicalField(f.grid, vals, factor)
 
 
 def to_spectral(p: PhysicalField) -> SpectralField:
     """Forward real-data transform of collocation values to coefficients,
-    truncated to the grid's modes from a refined grid, then symmetrized."""
-    half = np.fft.rfftn(p.values, axes=tuple(range(p.values.ndim)))
-    half /= p.values.size
+    truncated to the grid's modes from a refined grid, then symmetrized.
+    The transform's passes all write into one new array, which is
+    symmetrized in place."""
+    v = p.values
+    half = np.empty(v.shape[:-1] + (v.shape[-1] // 2 + 1,), dtype=np.complex128)
+    np.fft.rfftn(v, axes=tuple(range(v.ndim)), out=half)
+    half /= v.size
     if p.factor > 1:
         half = _extract_truncated(half, p.grid.sizes, p.factor)
-    return enforce_hermitian(SpectralField(p.grid, half))
+    return SpectralField(p.grid, _symmetrize(half, p.grid))
 
 
 # -- pseudospectral products -------------------------------------------------

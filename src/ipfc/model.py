@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import poly_eval
 from .errors import BulkPositivityError, NumericalError
 from .field import (
     PhysicalField,
@@ -103,11 +104,16 @@ def variational_derivative(
 
 def nprime_increment(fbar: PhysicalField, ebar: PhysicalField, params: ModelParams) -> SpectralField:
     """N'(fbar + ebar) - N'(fbar) of the fields sampled by fbar and ebar,
-    formed pointwise: one forward transform."""
+    formed pointwise: one forward transform.  Consumes both sample arrays,
+    which hold the sum and the increment."""
     terms = _nprime_terms(params)
-    inc = poly_samples(fbar + ebar, terms)
-    inc.values -= poly_samples(fbar, terms).values
-    return to_spectral(inc)
+    total = ebar.values
+    total += fbar.values
+    at_fbar = poly_eval(fbar.values, terms)
+    inc = poly_eval(total, terms, out=fbar.values)
+    inc -= at_fbar
+    del at_fbar
+    return to_spectral(PhysicalField(fbar.grid, inc, fbar.factor))
 
 
 def sav_ingredients(fbar, params: ModelParams):

@@ -122,7 +122,6 @@ def initial_report(state: StepperState, symbol: OperatorSymbol, params: ModelPar
 
 @dataclass
 class _StepInternals:
-    u: SpectralField
     s_value: float
 
 
@@ -159,19 +158,24 @@ def _frozen_ratio(state: StepperState, params: ModelParams):
     return u.half, sqrt_f1
 
 
+def _increments(state: StepperState, u_c: np.ndarray, phi_new: SpectralField, tau: float):
+    """The increment 1/2 <phi_new - phi, u> of R over a step tau from
+    `state` to phi_new with the ratio field u frozen, and the step's squared
+    rate norm ||(phi_new - phi) / tau||^2.  Taken on the stored fields, so
+    an SDC refreeze of the node fields reproduces them exactly."""
+    diff = phi_new.half - state.phi.half
+    return 0.5 * _coeff_inner(diff, u_c), _coeff_inner(diff, diff) / (tau * tau)
+
+
 def _advance(
-    state: StepperState, u_c: np.ndarray, sqrt_f1: float, phi_new: SpectralField,
-    tau: float, symbol: OperatorSymbol, params: ModelParams,
+    state: StepperState, r_inc: float, w_norm_sq: float, sqrt_f1: float,
+    phi_new: SpectralField, tau: float, symbol: OperatorSymbol, params: ModelParams,
 ):
     """The state and energy row at phi_new, reached from `state` over a step
-    tau with the ratio field u frozen.  The increment of R is taken on the
-    stored fields, so an SDC refreeze of the node fields reproduces it
-    exactly; phi_new is sampled once, on the grid of the state's samples."""
+    tau with the `_increments` r_inc and w_norm_sq.  phi_new is sampled
+    once, on the grid of the state's samples; callers drop u before this
+    inverse transform."""
     v_new = to_physical(phi_new, state.samples.factor > 1)
-    diff = phi_new.half - state.phi.half
-    r_inc = 0.5 * _coeff_inner(diff, u_c)
-    w_norm_sq = _coeff_inner(diff, diff) / (tau * tau)
-    del diff
     new_state = StepperState(
         phi=phi_new,
         phi_prev=state.phi,
@@ -199,7 +203,7 @@ def _cn_step_full(state: StepperState, tau: float, symbol: OperatorSymbol, param
 
     # (I + tau/2 G^2) phi^{n+1} = c - tau/4 s u, with both diagonals real.
     # Arithmetic is in place and each temporary is dropped once spent, so
-    # the step's peak memory is that of _advance's inverse transform.
+    # the step's peak memory is the solve's: u, denom, c and one scratch.
     half_g2 = (0.5 * tau) * symbol.g2_half
     denom = 1.0 + half_g2
     np.subtract(1.0, half_g2, out=half_g2)
@@ -219,14 +223,16 @@ def _cn_step_full(state: StepperState, tau: float, symbol: OperatorSymbol, param
     phi_new.half.ravel()[grid.zero_index] = 0.0
     del denom
 
-    new_state, report = _advance(state, u_c, sqrt_f1, phi_new, tau, symbol, params)
+    r_inc, w_norm_sq = _increments(state, u_c, phi_new, tau)
+    del u_c
+    new_state, report = _advance(state, r_inc, w_norm_sq, sqrt_f1, phi_new, tau, symbol, params)
     checks = (sqrt_f1, gamma, s, new_state.r_dev, report.original_energy, report.w_norm_sq)
     if not np.all(np.isfinite(checks)):
         raise NumericalError(
             "non-finite values in the step (check the step size and c1): "
             + repr(checks)
         )
-    return new_state, report, _StepInternals(u=SpectralField(grid, u_c), s_value=s)
+    return new_state, report, _StepInternals(s_value=s)
 
 
 def cn_step(state: StepperState, tau: float, symbol: OperatorSymbol, params: ModelParams):

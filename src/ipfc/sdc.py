@@ -31,10 +31,14 @@ per mode, 2^n times that on the refined product grid of an n-axis index
 grid) and, during a sweep, its row of the sweep's array in the half layout.
 That row holds the node's right-hand side, then an interval quadrature, then
 a corrected field, which the next pass takes as its node field: 8.4 MB per
-node on the 24^4 grid.  `sdc_solve` checks `block_bytes` against physical
-memory before a block is predicted.  The closed-form quadrature needs no
-node-count guard: it matches exact interval integrals to round-off at
-thousands of nodes.
+node on the 24^4 grid.  Beside that array a sweep holds a few field-size
+arrays, whatever the node count: the correction eps^n, whose array the
+inverse transform consumes, the samples of eps^{n-1} and eps^n, the
+bracket's two sample arrays, formed in spent ones, and its transform.  Its
+peak is under four field sizes (11.3 MB at 24^4).  `sdc_solve` checks
+`block_bytes` against physical memory before a block is predicted.  The
+closed-form quadrature needs no node-count guard: it matches exact interval
+integrals to round-off at thousands of nodes.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .errors import ConfigError, NumericalError
 from .field import PhysicalField, SpectralField, enforce_hermitian, to_physical
 from .lattice import OperatorSymbol
 from .model import ModelParams, nprime, nprime_increment
-from .sav_cn import StepperState, StepReport, _advance, _frozen_ratio, evolve, init_state
+from .sav_cn import StepperState, StepReport, _advance, _frozen_ratio, _increments, evolve, init_state
 
 __all__ = [
     "ChebGrid",
@@ -230,16 +234,18 @@ def correct(
         np.subtract(eps * (1.0 - 0.5 * tau * g2), rhs, out=rhs)
         rhs -= b.phi.half - a.phi.half
         if n:
-            e = to_physical(SpectralField(grid0, eps), factor > 1).values
-            del eps  # spent; eps^{n+1} is formed in rhs
-            # Samples are combined in place and dropped once spent, so the
-            # bracket's own temporaries set the sweep's peak.
+            # eps^n is spent once sampled (eps^{n+1} is formed in rhs), so
+            # the inverse transform works in its array
+            e = to_physical(SpectralField(grid0, eps), factor > 1, consume=True).values
+            del eps
+            # Samples are combined in spent arrays: e_prev's takes fbar's,
+            # and the bracket consumes fbar's and ebar's.
             ebar = e * 1.5
             if e_prev is not None:
                 e_prev *= 0.5
                 ebar -= e_prev
+            fbar = np.multiply(a.samples.values, 1.5, out=e_prev)
             e_prev = e
-            fbar = a.samples.values * 1.5
             fbar -= states[n - 1].samples.values * 0.5
             bracket = nprime_increment(
                 PhysicalField(grid0, fbar, factor), PhysicalField(grid0, ebar, factor), params
@@ -303,10 +309,11 @@ def _refreeze(
     if stepped is None:
         states, reports = [start], []
         for n in range(1, len(phis)):
+            tau = float(grid.taus[n - 1])
             u_c, sqrt_f1 = _frozen_ratio(states[-1], params)
-            state, report = _advance(
-                states[-1], u_c, sqrt_f1, phis[n], float(grid.taus[n - 1]), symbol, params
-            )
+            increments = _increments(states[-1], u_c, phis[n], tau)
+            del u_c
+            state, report = _advance(states[-1], *increments, sqrt_f1, phis[n], tau, symbol, params)
             states.append(state)
             reports.append(report)
     else:

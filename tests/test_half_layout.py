@@ -4,6 +4,7 @@ transforms and dumps agree with the full-layout definitions."""
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipfc import (
@@ -201,6 +202,18 @@ def test_load_matches_the_per_line_loader_bitwise(dump):
     with np.errstate(over="ignore", invalid="ignore"):
         loaded = load_field(io.StringIO(text), grid)
         assert loaded.half.tobytes() == _load_per_line(text, grid).half.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(8,), (6, 4)])
+def test_load_of_one_halved_subnormal_matches_the_fold(sizes):
+    # one listed mode on an interior last-axis column, so one half-layout
+    # position: half of the least negative subnormal rounds to a zero whose
+    # sign numpy's product of a single complex value can flip
+    grid = build_grid(ProjectionSpec.identity(len(sizes)), sizes)
+    h = " ".join(["0"] * (len(sizes) - 1) + ["1"])
+    text = f"ipfc-field v1 n={len(sizes)} sizes={','.join(map(str, sizes))}\n{h} -5e-324 -0.0\n"
+    loaded = load_field(io.StringIO(text), grid)
+    assert loaded.half.tobytes() == _load_per_line(text, grid).half.tobytes()
 
 
 @settings(deadline=None, max_examples=100)

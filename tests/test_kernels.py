@@ -6,8 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from ipfc._kernels import bohr_fourier_sum, poly_eval
 
+# constant terms included; Horner's rule needs a largest exponent of 1 or more
 _EXPONENT_SETS = [
-    s for r in range(1, 5) for s in itertools.combinations((1, 2, 3, 4), r)
+    s for r in range(1, 6) for s in itertools.combinations((0, 1, 2, 3, 4), r) if max(s) >= 1
 ]
 
 

@@ -10,7 +10,9 @@ import pytest
 
 import ipfc.sdc as sdc_mod
 from ipfc import (
+    ProjectionSpec,
     block_bytes,
+    build_grid,
     build_symbol,
     cheb_nodes,
     cn_step,
@@ -21,15 +23,22 @@ from ipfc import (
     sdc_solve,
 )
 from ipfc.errors import ConfigError
+from ipfc.harness import dodecagonal_projection
 from ipfc.sdc import _quadratures_in_place, _refreeze
 
 from conftest import Q_BENCH, cosine_field, grid_1d, params_bench, random_field, sine_field
 
 # Field-size arrays correct() may hold beside its nodes x modes array and
-# the quadrature's column block: the correction, the error samples and the
-# extrapolants', the bracket's samples and transforms, and the last node's
-# own field.  Measured: under five.
-CORRECT_SCRATCH_FIELDS = 8
+# the quadrature's column block: the correction, the error samples, the
+# bracket's samples (formed in spent arrays) and its transform, and the last
+# node's own field.  Measured: 3.2 on the 1-d grid below; the bound is that
+# count, three, plus one.
+CORRECT_SCRATCH_FIELDS = 4
+# Field-size arrays one cn_step may hold beside the state it steps from and
+# the state it returns: the frozen ratio field u and the solve's diagonals
+# and scratch, or the inverse transform's working array once u is dropped.
+# Measured: 2.3 with and without dealiasing.
+STEP_SCRATCH_FIELDS = 3
 
 
 @pytest.mark.parametrize("n_t", [16, 32])
@@ -63,6 +72,31 @@ def test_correct_peak_is_ws_plus_fixed_scratch(monkeypatch, n_t):
     for n, fld in enumerate(out[1:-1]):
         assert np.shares_memory(fld.half, traj.ws[n])
     assert not np.shares_memory(out[-1].half, traj.ws)
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+def test_cn_step_peak_is_its_states_plus_fixed_scratch(dealias):
+    # u is dropped before the new field's inverse transform, whose passes
+    # run in one working array; a dodecagonal grid has leading axes to pass
+    spec = ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4))
+    grid = build_grid(spec, (12, 12, 12, 12))
+    symbol = build_symbol(spec, grid, Q_BENCH)
+    params = params_bench()
+    phi0 = random_field(grid, np.random.default_rng(3), scale=0.05)
+    state0 = init_state(phi0, symbol, params, dealias=dealias)
+    state1, _ = cn_step(state0, 1e-3, symbol, params)
+    unit = max(state0.phi.half.nbytes, state0.samples.values.nbytes)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        state2, _ = cn_step(state1, 1e-3, symbol, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = state2.phi.half.nbytes + state2.samples.values.nbytes
+    assert peak <= held + STEP_SCRATCH_FIELDS * unit
 
 
 @pytest.mark.parametrize("n_t, width", [(4, 5000), (12, 3000), (65, 700)])
