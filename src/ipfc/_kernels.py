@@ -46,6 +46,10 @@ def bohr_fourier_sum(
     """Re sum_m (coeff_re[m] + i coeff_im[m]) exp(i kvecs[m] . points[p]) at
     every point p.  The coefficient arrays are (modes,) or (modes, columns);
     each column is summed on its own, giving (points,) or (points, columns).
-    Builds the whole (points x modes) phase matrix; callers bound its size."""
+    Holds two (points x modes) float arrays, the phases and one trig table
+    (the sines overwrite the spent cosines); callers bound their size."""
     phase = points @ kvecs.T
-    return np.cos(phase) @ coeff_re - np.sin(phase) @ coeff_im
+    trig = np.cos(phase)
+    out = trig @ coeff_re
+    out -= np.sin(phase, out=trig) @ coeff_im
+    return out

@@ -170,16 +170,22 @@ def field_from_listed(grid: IndexGrid, pos: np.ndarray, values) -> SpectralField
     a missing term reads as the 0 that the full fold reads, signed zeros
     included (conj(0) = 0 - 0j), and every other position is exactly 0."""
     values = np.asarray(values, dtype=np.complex128)
+    own = pos[:, -1] < grid.half_sizes[-1]
+    mirror = np.negative(pos)
+    mirror %= grid.sizes
+    seen = mirror[:, -1] < grid.half_sizes[-1]
+    # rows past the half are clipped onto some position, then left out
+    own_at, mirror_at = (
+        np.ravel_multi_index(tuple(p.T), grid.half_sizes, mode="clip")[rows]
+        for p, rows in ((pos, own), (mirror, seen))
+    )
+    del mirror
     half = np.zeros(grid.half_sizes, dtype=np.complex128)
     out = half.ravel()
-    own = pos[:, -1] < grid.half_sizes[-1]
-    mirror = -pos % np.array(grid.sizes)
-    seen = mirror[:, -1] < grid.half_sizes[-1]
-    own_at, mirror_at = (
-        np.ravel_multi_index(tuple(p.T), grid.half_sizes) for p in (pos[own], mirror[seen])
-    )
     out[own_at] = np.conj(0j)
-    out[mirror_at] = np.conj(values[seen])
+    theirs = values[seen]
+    out[mirror_at] = np.conjugate(theirs, out=theirs)
+    del theirs
     out[own_at] += values[own]
     has_own = np.zeros(out.size, dtype=bool)
     has_own[own_at] = True
@@ -439,19 +445,26 @@ def dump_field(f: SpectralField, fileobj) -> None:
 def load_field(fileobj, grid: IndexGrid) -> SpectralField:
     """Read a portable dump back onto an existing grid (header must match).
     A mode listed twice takes its last value; the lines are folded by
-    `field_from_listed`."""
+    `field_from_listed`.  Holds the parsed table, which the positions and
+    values view, beside the field; only when a mode repeats are the kept
+    lines copied out of it."""
     pos, values = _read_dump(fileobj, grid)
-    # keep the last line of each mode
     flat = np.ravel_multi_index(tuple(pos.T), grid.sizes)
-    _, last = np.unique(flat[::-1], return_index=True)
-    last = len(flat) - 1 - last
-    return field_from_listed(grid, pos[last], values[last])
+    listed = np.zeros(grid.total, dtype=bool)
+    listed[flat] = True
+    if np.count_nonzero(listed) < len(flat):  # keep the last line of each mode
+        _, last = np.unique(flat[::-1], return_index=True)
+        last = len(flat) - 1 - last
+        pos, values = pos[last], values[last]
+    del flat, listed
+    return field_from_listed(grid, pos, values)
 
 
 def _read_dump(fileobj, grid: IndexGrid):
     """Mod-N positions (one row of n per line) and values of a dump's lines,
-    in file order, after checking them.  The body is parsed by one
-    `np.loadtxt` pass over the stream; blank lines are skipped."""
+    in file order, after checking them: views of the one table that a
+    single `np.loadtxt` pass over the stream parses, whose mode columns are
+    reduced mod N in place.  Blank lines are skipped."""
     header = fileobj.readline().strip()
     parts = header.split()
     keys = [p.partition("=")[::2] for p in parts[2:]]
@@ -478,11 +491,12 @@ def _read_dump(fileobj, grid: IndexGrid):
             f"mode index {h[i, j]} outside -{half[j]} .. {half[j] - 1}"
             f" on dump {_dump_line(fileobj, start, row, i)}"
         )
-    values = np.ascontiguousarray(table["v"])
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    values = table["v"].view(np.complex128)[:, 0]
+    bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise ValueError(f"non-finite value on dump {_dump_line(fileobj, start, row, bad[0])}")
-    return h % np.array(grid.sizes), values.view(np.complex128)[:, 0]
+    h %= grid.sizes
+    return h, values
 
 
 def _dump_line(fileobj, start, row: np.dtype, index=None) -> str:

@@ -677,26 +677,34 @@ def write_pgm(path: str, raster: np.ndarray) -> None:
 # -- drivers ---------------------------------------------------------------------
 
 
-def _run_scheme(state0: StepperState, symbol, params, tcfg: TimeCfg, on_step=None):
-    """Step the initial state over [0, T] with the configured scheme, on the
-    sampling grid the state was built with; returns (state, reports).
-    on_step(i, state, report), if given, is called for every node after the
-    initial one as soon as the scheme has finished it: each step for
-    `sav_cn`, each corrected block for `sav_cn_sdc`."""
+def _run_scheme(start, symbol, params, tcfg: TimeCfg, on_step=None):
+    """Step the initial state that start() returns over [0, T] with the
+    configured scheme, on the sampling grid the state was built with;
+    returns (state, reports).  on_step(i, state, report), if given, is
+    called for every node after the initial one as soon as the scheme has
+    finished it: each step for `sav_cn`, each corrected block for
+    `sav_cn_sdc`.  start() is called in the scheme's argument list, so this
+    frame keeps no reference to the state: a state no caller keeps is freed
+    by the scheme, with its field and samples, once its steps stop reading
+    it (after step 2 for `sav_cn`)."""
     if tcfg.scheme == "sav_cn_sdc":
         return sdc_solve(
-            state0, tcfg.T, tcfg.nt, symbol, params, sweeps=tcfg.sweeps, block=tcfg.block,
+            start(), tcfg.T, tcfg.nt, symbol, params, sweeps=tcfg.sweeps, block=tcfg.block,
             on_step=on_step,
         )
     times = np.linspace(0.0, tcfg.T, tcfg.nt + 1)
-    return evolve(state0, times, symbol, params, on_step=on_step)
+    return evolve(start(), times, symbol, params, on_step=on_step)
 
 
-def _write_energy_csv(path: str, phi0, symbol, params, dealias: bool, tcfg: TimeCfg, on_step=None):
-    """Run the configured scheme from phi0, writing one energy row per node
-    (the initial one included) as it is finished and then calling
-    on_step(i, state, report); returns the final field.  A failure part-way
-    leaves the rows of the nodes before it in the file."""
+def _write_energy_csv(
+    path: str, initial: list, symbol, params, dealias: bool, tcfg: TimeCfg, on_step=None
+):
+    """Run the configured scheme from the initial field, writing one energy
+    row per node (the initial one included) as it is finished and then
+    calling on_step(i, state, report); returns the final field.  A failure
+    part-way leaves the rows of the nodes before it in the file.  `initial`
+    is a one-item list that the caller hands over as the field's only
+    holder: the field is taken out of it for the scheme, which frees it."""
     with open(path, "w", encoding="utf-8", newline="\n", buffering=1) as fh:
         fh.write(ENERGY_HEADER + "\n")
 
@@ -709,9 +717,12 @@ def _write_energy_csv(path: str, phi0, symbol, params, dealias: bool, tcfg: Time
             if on_step is not None:
                 on_step(i, state, rep)
 
-        state0 = init_state(phi0, symbol, params, dealias=dealias)
-        row(0, state0, initial_report(state0, symbol, params))
-        return _run_scheme(state0, symbol, params, tcfg, on_step=row)[0].phi
+        def start() -> StepperState:
+            state = init_state(initial.pop(), symbol, params, dealias=dealias)
+            row(0, state, initial_report(state, symbol, params))
+            return state
+
+        return _run_scheme(start, symbol, params, tcfg, on_step=row)[0].phi
 
 
 def _output_dir(cfg: ExperimentConfig, base_dir: str) -> str:
@@ -721,18 +732,20 @@ def _output_dir(cfg: ExperimentConfig, base_dir: str) -> str:
 
 
 def _setup(cfg: ExperimentConfig, base_dir: str):
-    """(params, symbol, phi0) of a config with [model] q and [initial]."""
+    """(params, symbol, initial) of a config with [model] q and [initial]:
+    `initial` is a one-item list holding the initial field, so that a run
+    can take the field out and be its only holder."""
     grid = cfg.build_grid()
     params = cfg.build_params()
     symbol = build_symbol(grid.spec, grid, params.q)
-    return params, symbol, build_initial(cfg, grid, base_dir)
+    return params, symbol, [build_initial(cfg, grid, base_dir)]
 
 
 def run_evolution(cfg: ExperimentConfig, base_dir: str = ".") -> dict:
     """Drive one evolution run: energy CSV, optional dumps and rasters."""
     if cfg.time is None:
         raise ConfigError("missing required section [time]")
-    params, symbol, phi0 = _setup(cfg, base_dir)
+    params, symbol, initial = _setup(cfg, base_dir)
     out_dir = _output_dir(cfg, base_dir)
     csv_path = os.path.join(out_dir, cfg.output.energy_csv)
     dumps: List[str] = []
@@ -755,7 +768,7 @@ def run_evolution(cfg: ExperimentConfig, base_dir: str = ".") -> dict:
             write_pgm(path[: -len(".field")] + ".pgm", img)
 
     final = _write_energy_csv(
-        csv_path, phi0, symbol, params, cfg.model.dealias, cfg.time, on_step=dump
+        csv_path, initial, symbol, params, cfg.model.dealias, cfg.time, on_step=dump
     )
     return {"csv": csv_path, "dumps": dumps, "final": final}
 
@@ -769,14 +782,14 @@ def run_convergence(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
     """
     if cfg.time is None or cfg.convergence is None:
         raise ConfigError("convergence runs need [time] and [convergence] sections")
-    params, symbol, phi0 = _setup(cfg, base_dir)
+    params, symbol, initial = _setup(cfg, base_dir)
     tcfg = cfg.time
     ccfg = cfg.convergence
 
-    state0 = init_state(phi0, symbol, params, dealias=cfg.model.dealias)
+    state0 = init_state(initial.pop(), symbol, params, dealias=cfg.model.dealias)
 
     def final(**change) -> SpectralField:
-        return _run_scheme(state0, symbol, params, replace(tcfg, **change))[0].phi
+        return _run_scheme(lambda: state0, symbol, params, replace(tcfg, **change))[0].phi
 
     reference = final(scheme="sav_cn_sdc", nt=ccfg.reference_nt, sweeps=max(tcfg.sweeps, 1))
     rows: List[dict] = []
@@ -817,15 +830,15 @@ def run_scales_study(cfg: ExperimentConfig, base_dir: str = ".") -> List[dict]:
         )
         if not modes:
             raise ConfigError(f"no grid modes found on the m={m} rings")
-        phi0 = field_from_modes(grid, modes)
+        initial = [field_from_modes(grid, modes)]
         if scfg.noise > 0.0:
             # orientation tie-breaker: a perfectly symmetric star can freeze
             # in mixed local minima, so the relaxed state never picks an
             # orientation
-            phi0 = phi0 + banded_noise_field(symbol, scfg.noise, scfg.seed)
+            initial[0] += banded_noise_field(symbol, scfg.noise, scfg.seed)
 
         csv_path = os.path.join(out_dir, f"energy_m{m}.csv")
-        final = _write_energy_csv(csv_path, phi0, symbol, params, cfg.model.dealias, cfg.time)
+        final = _write_energy_csv(csv_path, initial, symbol, params, cfg.model.dealias, cfg.time)
         kxy, amps, verdict = spectrum_report(final, cfg.spectrum.threshold_rel)
         write_spectrum_csv(os.path.join(out_dir, f"spectrum_m{m}.csv"), kxy, amps)
         results.append(

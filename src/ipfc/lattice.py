@@ -33,7 +33,9 @@ __all__ = [
 
 _DET_FLOOR = 1e-12
 INJECTIVITY_TOL = 1e-10
-# Bytes of folded coefficients and last-axis phases per chunk of raster modes.
+# Bytes a raster chunk may hold at its peak, counted per term by
+# `_raster_term_bytes`; the rasters of 24^4 dumps trace 1.03 (one chunk) to
+# 1.07 (nine chunks) times one chunk's count.
 RASTER_CHUNK_BYTES = 32 << 20
 # Candidate pairs whose distance the injectivity search computes at once.
 INJECTIVITY_CHUNK = 1 << 14
@@ -353,6 +355,50 @@ def kept_half_modes(fld, floor: float):
     return pos, grid.modes_at(pos), flat[keep], interior
 
 
+def _raster_terms(fld, floor: float):
+    """Coefficients and projected wavevectors of the raster's terms, one
+    per conjugate pair of the modes with |c| > floor (see
+    `sample_real_space`); the tables they are built from are dropped."""
+    grid = fld.grid
+    pos, modes, coeffs, interior = kept_half_modes(fld, floor)
+    inexact = interior & (pos[:, :-1] == np.array(grid.sizes[:-1]) // 2).any(axis=1)
+    doubled = np.where(interior & ~inexact, 2.0 * coeffs, coeffs)
+    coeffs = np.concatenate([doubled, np.conj(coeffs[inexact])])
+    modes = np.concatenate([modes, grid.modes_at(-pos[inexact] % grid.sizes)])
+    return coeffs, modes @ grid.spec.projected_basis.T
+
+
+def _raster_term_bytes(resolution) -> int:
+    """Bytes `sample_real_space` holds per term of a chunk at its peak: the
+    folded row, the kernel's phases and one trig table, 16 x (lead + last)
+    for lead = N_0 ... N_{d-2} pixels and last = N_{d-1}; or, while axis 0
+    is folded, its float phases and the complex factor that takes the
+    product, 24 N_0; or, while axis j > 0 is folded, the rows folded so far,
+    the factor and their product."""
+    lead = int(np.prod(resolution[:-1]))
+    held, done = 16 * (lead + resolution[-1]), 1
+    for j, n in enumerate(resolution[:-1]):
+        held = max(held, 24 * n if j == 0 else 16 * (done + n + done * n))
+        done *= n
+    return held
+
+
+def _chunk_raster(coeffs, k, axes) -> np.ndarray:
+    """One chunk's share of the raster, as a last axis x lead pixels array.
+    The lead axes are folded into the coefficients, C[h, (i_0 .. i_{d-2})]
+    = c_h prod_{j<d-1} exp(i k_hj x_j) in row-major order: each factor is
+    formed and exponentiated in one array, and the first product, whose
+    rows have the factor's shape, is written into it.  The kernel then sums
+    the last axis."""
+    folded = coeffs[:, None]
+    for j, x in enumerate(axes[:-1]):
+        factor = np.multiply(1j, np.outer(k[:, j], x), out=np.empty((len(k), len(x)), complex))
+        np.exp(factor, out=factor)
+        into = factor[:, None, :] if folded.shape[1] == 1 else None
+        folded = np.multiply(folded[:, :, None], factor[:, None, :], out=into).reshape(len(k), -1)
+    return bohr_fourier_sum(k[:, -1:], folded.real, folded.imag, axes[-1][:, None])
+
+
 def sample_real_space(fld, window, resolution, amplitude_floor: float = 0.0) -> np.ndarray:
     """Evaluate the field on a raster in physical space, over the projection
     of its grid, by a separable Bohr-Fourier sum.
@@ -370,34 +416,25 @@ def sample_real_space(fld, window, resolution, amplitude_floor: float = 0.0) -> 
     every axis but the last is folded into the coefficients and one kernel
     call per chunk of terms sums the last axis: trig work is terms x (sum
     of the axis lengths), not terms x pixels.  Terms are taken in chunks of
-    at most RASTER_CHUNK_BYTES of folded coefficients and phases.  Pure in
-    its inputs; raster[i0, i1, ...] samples axis j at the inclusive
-    linspace of window[j].
+    at most RASTER_CHUNK_BYTES, counted by `_raster_term_bytes`: a chunk
+    holds its folded rows and the kernel's phases and one trig table, or
+    the arrays of one fold.  Beside it the raster keeps only its terms'
+    coefficients and wavevectors, so its traced peak is 1.03 to 1.07 times
+    one chunk's count on the rasters of 24^4 dumps.  Pure in its inputs;
+    raster[i0, i1, ...] samples axis j at the inclusive linspace of
+    window[j].
     """
     grid = fld.grid
     if amplitude_floor < 0:
         raise ValueError("amplitude_floor must be >= 0")
     window, resolution = raster_axes(grid.spec.d, window, resolution)
 
-    pos, modes, coeffs, interior = kept_half_modes(fld, amplitude_floor)
+    coeffs, kv = _raster_terms(fld, amplitude_floor)
     if not len(coeffs):
         return np.zeros(resolution)
-    inexact = interior & (pos[:, :-1] == np.array(grid.sizes[:-1]) // 2).any(axis=1)
-    doubled = np.where(interior & ~inexact, 2.0 * coeffs, coeffs)
-    coeffs = np.concatenate([doubled, np.conj(coeffs[inexact])])
-    modes = np.concatenate([modes, grid.modes_at(-pos[inexact] % grid.sizes)])
-    kv = modes @ grid.spec.projected_basis.T
-
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(window, resolution)]
-    lead = int(np.prod(resolution[:-1]))
-    chunk = max(1, RASTER_CHUNK_BYTES // (16 * (lead + resolution[-1])))
-    out = np.zeros((resolution[-1], lead))
+    chunk = max(1, RASTER_CHUNK_BYTES // _raster_term_bytes(resolution))
+    out = np.zeros((resolution[-1], int(np.prod(resolution[:-1]))))
     for start in range(0, len(coeffs), chunk):
-        k = kv[start : start + chunk]
-        # C[h, (i_0 .. i_{d-2})] = c_h prod_{j<d-1} exp(i k_hj x_j), row-major
-        folded = coeffs[start : start + chunk, None]
-        for j, x in enumerate(axes[:-1]):
-            factor = np.exp(1j * np.outer(k[:, j], x))
-            folded = (folded[:, :, None] * factor[:, None, :]).reshape(len(k), -1)
-        out += bohr_fourier_sum(k[:, -1:], folded.real, folded.imag, axes[-1][:, None])
+        out += _chunk_raster(coeffs[start : start + chunk], kv[start : start + chunk], axes)
     return out.T.reshape(resolution)

@@ -204,6 +204,22 @@ def test_load_matches_the_per_line_loader_bitwise(dump):
         assert loaded.half.tobytes() == _load_per_line(text, grid).half.tobytes()
 
 
+@settings(deadline=None, max_examples=200)
+@given(dumps(), st.data())
+def test_load_of_shuffled_distinct_lines_is_bitwise_the_same(dump, data):
+    # with no mode listed twice the lines are folded in file order, so the
+    # fold must not depend on that order
+    grid, text = dump
+    header, *lines = text.splitlines()
+    distinct = list({tuple(line.split()[:-2]): line for line in lines}.values())
+    shuffled = [distinct[i] for i in data.draw(st.permutations(range(len(distinct))))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _load_per_line("\n".join([header] + distinct) + "\n", grid).half.tobytes()
+        for body in (distinct, shuffled):
+            text = "\n".join([header] + body) + "\n"
+            assert load_field(io.StringIO(text), grid).half.tobytes() == want
+
+
 @pytest.mark.parametrize("sizes", [(8,), (6, 4)])
 def test_load_of_one_halved_subnormal_matches_the_fold(sizes):
     # one listed mode on an interior last-axis column, so one half-layout

@@ -480,6 +480,67 @@ def test_sample_real_space_inexact_mirror(rng):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+def _reference_raster(fld, window, resolution, floor, chunk):
+    """The pair-wise raster of the same terms with its fold and kernel
+    written as plain expressions: each factor np.exp(1j * np.outer(k_j,
+    x_j)), each product folded[:, :, None] * factor[:, None, :], and the
+    last axis as np.cos(phase) @ re - np.sin(phase) @ im, `chunk` terms at
+    a time."""
+    window, resolution = lattice.raster_axes(fld.grid.spec.d, window, resolution)
+    coeffs, kv = lattice._raster_terms(fld, floor)
+    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(window, resolution)]
+    out = np.zeros((resolution[-1], int(np.prod(resolution[:-1]))))
+    for start in range(0, len(coeffs), chunk):
+        k = kv[start : start + chunk]
+        folded = coeffs[start : start + chunk, None]
+        for j, x in enumerate(axes[:-1]):
+            factor = np.exp(1j * np.outer(k[:, j], x))
+            folded = (folded[:, :, None] * factor[:, None, :]).reshape(len(k), -1)
+        phase = axes[-1][:, None] @ k[:, -1:].T
+        out += np.cos(phase) @ folded.real - np.sin(phase) @ folded.imag
+    return out.T.reshape(resolution)
+
+
+@pytest.mark.parametrize(
+    "case, resolution, chunks",
+    [
+        ("dodecagonal", (9, 7), 1),
+        ("dodecagonal", (12, 4), 5),  # folding axis 0 outweighs the kernel
+        ("periodic_3d", (3, 4, 5), 3),  # a second fold, into a new array
+        ("line", (50,), 1),  # no fold
+        ("line", (50,), 4),
+    ],
+)
+def test_sample_real_space_is_bitwise_the_plain_expressions(
+    dodecagonal_small, rng, monkeypatch, case, resolution, chunks
+):
+    # the in-place fold and kernel keep every operation's operands and order
+    if case == "dodecagonal":
+        grid = dodecagonal_small[1]
+    elif case == "periodic_3d":
+        grid = build_grid(ProjectionSpec.identity(3), (4, 4, 6))
+    else:
+        grid = grid_1d(16)[1]
+    fld = random_field(grid, rng)
+    window = [(-3.0 + j, 5.0 + 2 * j) for j in range(len(resolution))]
+    terms = raster_terms(fld, 1e-3)
+    chunk = -(-terms // chunks)
+    monkeypatch.setattr(lattice, "RASTER_CHUNK_BYTES", chunk * lattice._raster_term_bytes(resolution))
+    got = sample_real_space(fld, window, resolution, amplitude_floor=1e-3)
+    want = _reference_raster(fld, window, resolution, 1e-3, chunk)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_raster_term_bytes_counts_the_larger_phase():
+    # the kernel's folded row, phases and trig table, 16 x (lead + last), or
+    # folding axis 0, 24 N_0, or a later fold's rows, factor and product
+    assert lattice._raster_term_bytes((8197,)) == 16 * (1 + 8197)
+    assert lattice._raster_term_bytes((9, 7)) == 16 * (9 + 7)
+    assert lattice._raster_term_bytes((12, 4)) == 24 * 12
+    assert lattice._raster_term_bytes((3, 4, 5)) == 16 * (3 + 4 + 12)
+    assert lattice._raster_term_bytes((3, 4, 50)) == 16 * (12 + 50)
+
+
 def test_grid_build_matches_wavevectors_of_every_position():
     # |k|^2 and the live mask are built slab by slab from positions; they are
     # bitwise those of the wavevectors of every half-layout position and of

@@ -1,13 +1,17 @@
-"""What the SDC sweep and the stepper hold, and what they leave alone: the
-sweep's traced peak, inputs left bitwise unchanged by the in-place
-arithmetic, and the block-size memory guard."""
+"""What the SDC sweep, the stepper, `run_evolution` and the render path
+hold, and what they leave alone: traced peaks, the initial field freed
+by a run, inputs left bitwise unchanged by the in-place arithmetic, and the
+block-size memory guard."""
 
 import hashlib
+import io
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import ipfc.harness as harness
 import ipfc.sdc as sdc_mod
 from ipfc import (
     ProjectionSpec,
@@ -17,16 +21,31 @@ from ipfc import (
     cheb_nodes,
     cn_step,
     correct,
+    dump_field,
+    field_from_coeffs,
     init_state,
     integration_matrix,
+    lattice,
+    load_field,
     predict,
+    sample_real_space,
     sdc_solve,
 )
 from ipfc.errors import ConfigError
-from ipfc.harness import dodecagonal_projection
+from ipfc.harness import dodecagonal_projection, parse_config, run_evolution
 from ipfc.sdc import _quadratures_in_place, _refreeze
 
-from conftest import Q_BENCH, cosine_field, grid_1d, params_bench, random_field, sine_field
+from test_cli import CONFIG
+
+from conftest import (
+    Q_BENCH,
+    cosine_field,
+    grid_1d,
+    params_bench,
+    random_field,
+    raster_terms,
+    sine_field,
+)
 
 # Field-size arrays correct() may hold beside its nodes x modes array and
 # the quadrature's column block: the correction, the error samples, the
@@ -39,6 +58,22 @@ CORRECT_SCRATCH_FIELDS = 4
 # and scratch, or the inverse transform's working array once u is dropped.
 # Measured: 2.3 with and without dealiasing.
 STEP_SCRATCH_FIELDS = 3
+# Field-size arrays sample_real_space may hold beside one chunk's count
+# (`lattice._raster_term_bytes` per term): the terms' coefficients and
+# wavevectors, the kernel's column of them and its output.  Measured: 2.0
+# on the 12^4 grid below, whose raster keeps two thirds of the half-layout
+# positions as terms, and 0.10 and 0.76 on the 24^4 renders of the
+# benchmark and of configs/ddqc_short.cfg; the bound is that count, two,
+# plus one.
+RASTER_SCRATCH_FIELDS = 3
+# Parsed tables (48 B per line at n = 4) load_field may hold beside the
+# field it returns: the table, which its positions and values view, and the
+# fold's index arrays, gathered values and position masks, most of which
+# grow with the lines.  Measured: 1.77 on the dump below, which lists a
+# sixth of the modes, and 1.62 and 1.73 on the 24^4 dumps of the benchmark
+# and of configs/ddqc_short.cfg (a sixth and over half of the modes); the
+# bound is that count, one, plus one.
+LOAD_SCRATCH_TABLES = 2
 
 
 @pytest.mark.parametrize("n_t", [16, 32])
@@ -97,6 +132,83 @@ def test_cn_step_peak_is_its_states_plus_fixed_scratch(dealias):
         tracemalloc.stop()
     held = state2.phi.half.nbytes + state2.samples.values.nbytes
     assert peak <= held + STEP_SCRATCH_FIELDS * unit
+
+
+def _dodecagonal_12():
+    spec = ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4))
+    return build_grid(spec, (12, 12, 12, 12))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and its traced peak above the memory traced at entry."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("chunks", [1, 4])
+def test_raster_peak_is_one_chunk_plus_fixed_scratch(monkeypatch, chunks):
+    # the factor takes the fold's product and the sines overwrite the
+    # kernel's spent cosines, so a chunk holds what _raster_term_bytes
+    # counts; a chunk's arrays are dropped before the next is folded
+    grid = _dodecagonal_12()
+    fld = random_field(grid, np.random.default_rng(5))
+    resolution = (32, 16)
+    term_bytes = lattice._raster_term_bytes(resolution)
+    terms = raster_terms(fld, 0.0)
+    chunk = -(-terms // chunks)
+    monkeypatch.setattr(lattice, "RASTER_CHUNK_BYTES", chunk * term_bytes)
+    _, peak = _traced_peak(sample_real_space, fld, [(0.0, 30.0), (0.0, 20.0)], resolution)
+    assert peak <= chunk * term_bytes + RASTER_SCRATCH_FIELDS * fld.half.nbytes
+
+
+def test_load_peak_is_the_field_plus_its_table_and_scratch():
+    # the positions and values view the parsed table, a dump without a
+    # repeated mode is not copied, and the fold drops its mirror positions
+    # before the field is allocated
+    grid = _dodecagonal_12()
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
+    c *= rng.random(grid.sizes) < 1 / 6
+    buf = io.StringIO()
+    dump_field(field_from_coeffs(grid, c), buf)
+    text = buf.getvalue()
+    lines = text.count("\n") - 1
+    fld, peak = _traced_peak(load_field, io.StringIO(text), grid)
+    table = lines * (8 * len(grid.sizes) + 16)
+    assert peak - fld.half.nbytes <= LOAD_SCRATCH_TABLES * table
+
+
+def test_evolution_frees_the_initial_field_after_step_two(tmp_path, monkeypatch):
+    # no harness frame keeps the initial field or its state: sav_cn reads it
+    # through step 2, then frees it; the run dumps at each of its 9 nodes
+    times = " ".join(repr(0.05 * i / 8) for i in range(9))
+    text = CONFIG.replace("dump_times = 0.05", f"dump_times = {times}")
+    initial = []
+    real_build = harness.build_initial
+
+    def build(*args):
+        fld = real_build(*args)
+        initial.append(weakref.ref(fld))
+        return fld
+
+    alive = []
+    real_dump = harness.dump_field
+
+    def dump(fld, fh):
+        alive.append(initial[0]() is not None)
+        real_dump(fld, fh)
+
+    monkeypatch.setattr(harness, "build_initial", build)
+    monkeypatch.setattr(harness, "dump_field", dump)
+    run_evolution(parse_config(text), str(tmp_path))
+    assert alive == [True, True] + [False] * 7
 
 
 @pytest.mark.parametrize("n_t, width", [(4, 5000), (12, 3000), (65, 700)])
