@@ -123,23 +123,6 @@ class PhysicalField:
             v = v.reshape(shape)
         self.values = v
 
-    def _check(self, other: "PhysicalField") -> None:
-        if self.grid is not other.grid or self.factor != other.factor:
-            raise GridMismatchError("samples live on different grids")
-
-    def __add__(self, other: "PhysicalField") -> "PhysicalField":
-        self._check(other)
-        return PhysicalField(self.grid, self.values + other.values, self.factor)
-
-    def __sub__(self, other: "PhysicalField") -> "PhysicalField":
-        self._check(other)
-        return PhysicalField(self.grid, self.values - other.values, self.factor)
-
-    def __mul__(self, scalar) -> "PhysicalField":
-        return PhysicalField(self.grid, self.values * float(scalar), self.factor)
-
-    __rmul__ = __mul__
-
 
 def zeros_field(grid: IndexGrid) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.half_sizes, dtype=np.complex128))

@@ -120,11 +120,6 @@ def initial_report(state: StepperState, symbol: OperatorSymbol, params: ModelPar
     return _node_report(state.phi, 0.0, 0.0, state.r_dev, state.sqrt_c1, nu, symbol)
 
 
-@dataclass
-class _StepInternals:
-    s_value: float
-
-
 def _node_report(
     phi: SpectralField, w_norm_sq: float, tau: float, r_dev: float,
     sqrt_c1: float, nu: float, symbol: OperatorSymbol,
@@ -174,7 +169,11 @@ def _advance(
     """The state and energy row at phi_new, reached from `state` over a step
     tau with the `_increments` r_inc and w_norm_sq.  phi_new is sampled
     once, on the grid of the state's samples; callers drop u before this
-    inverse transform."""
+    inverse transform.
+
+    Every step and every SDC node passes here, so this is where a
+    non-finite node raises NumericalError.  A non-finite field reaches the
+    energy row through its bulk mean."""
     v_new = to_physical(phi_new, state.samples.factor > 1)
     new_state = StepperState(
         phi=phi_new,
@@ -189,10 +188,17 @@ def _advance(
     report = _node_report(
         phi_new, w_norm_sq, tau, new_state.r_dev, state.sqrt_c1, bulk_mean(v_new, params), symbol
     )
+    checks = (sqrt_f1, new_state.r_dev, report.original_energy, report.w_norm_sq)
+    if not np.all(np.isfinite(checks)):
+        raise NumericalError(
+            "non-finite values in the step (check the step size and c1): "
+            + repr(checks)
+        )
     return new_state, report
 
 
-def _cn_step_full(state: StepperState, tau: float, symbol: OperatorSymbol, params: ModelParams):
+def cn_step(state: StepperState, tau: float, symbol: OperatorSymbol, params: ModelParams):
+    """Advance one step of size tau; returns (new_state, report)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     grid = state.phi.grid
@@ -225,20 +231,10 @@ def _cn_step_full(state: StepperState, tau: float, symbol: OperatorSymbol, param
 
     r_inc, w_norm_sq = _increments(state, u_c, phi_new, tau)
     del u_c
-    new_state, report = _advance(state, r_inc, w_norm_sq, sqrt_f1, phi_new, tau, symbol, params)
-    checks = (sqrt_f1, gamma, s, new_state.r_dev, report.original_energy, report.w_norm_sq)
-    if not np.all(np.isfinite(checks)):
-        raise NumericalError(
-            "non-finite values in the step (check the step size and c1): "
-            + repr(checks)
-        )
-    return new_state, report, _StepInternals(s_value=s)
+    return _advance(state, r_inc, w_norm_sq, sqrt_f1, phi_new, tau, symbol, params)
 
 
-def cn_step(state: StepperState, tau: float, symbol: OperatorSymbol, params: ModelParams):
-    """Advance one step of size tau; returns (new_state, report)."""
-    new_state, report, _ = _cn_step_full(state, tau, symbol, params)
-    return new_state, report
+_cn_step_full = cn_step  # the name the benchmark's tracer wraps
 
 
 def modified_energy(state: StepperState, symbol: OperatorSymbol, params: ModelParams) -> float:

@@ -6,18 +6,20 @@ right-hand sides then feeds a linear correction sweep that solves an error
 equation interval by interval.  One sweep lifts the global order from two
 to four.
 
-`_refreeze` is the one place node fields become an `SdcTrajectory`: the
-block's node states and energy rows.  A state holds its node's field,
-samples, auxiliary-scalar deviation and the sqrt(F1) its step froze, so the
-sweep reads each interval's frozen ratio coefficient off the two states that
-bound it.  After the predictor `_refreeze` takes the states from the
-stepper, so a predicted node costs the stepper's two transforms; after a
-sweep it re-runs the stepper's update on the corrected fields, at two
-transforms per node.  Every state samples on the grid of the block's initial
-state, which `init_state` chose.  Each sweep builds the node right-hand
-sides (one forward transform each, into a row of one nodes x modes array),
-forms the extrapolants' samples by linearity and costs two transforms per
-interval past the first, so a one-sweep node costs fewer than seven.
+An `SdcTrajectory` is a block's node states and energy rows.  A state holds
+its node's field, samples, auxiliary-scalar deviation and the sqrt(F1) its
+step froze, so the sweep reads each interval's frozen ratio coefficient off
+the two states that bound it.  `predict` builds the trajectory from the
+stepper's own states, so a predicted node costs the stepper's two
+transforms; after a sweep `_refreeze` re-runs the stepper's update on the
+corrected fields, at two transforms per node.  Both pass every node through
+`sav_cn._advance`, which raises NumericalError on a non-finite one.  The
+sweep's corrections are conjugate-symmetric by construction and need no
+projection.  Every state samples on the grid of the block's initial state,
+which `init_state` chose.  Each sweep builds the node right-hand sides (one
+forward transform each, into a row of one nodes x modes array), forms the
+extrapolants' samples by linearity and costs two transforms per interval
+past the first, so a one-sweep node costs fewer than seven.
 `sdc_solve` reports the states and energy rows of each block's final pass
 through the same `on_step(i, state, report)` callback as `sav_cn.evolve`,
 and returns `(state, reports)` as it does.
@@ -50,7 +52,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .field import PhysicalField, SpectralField, enforce_hermitian, to_physical
+from .field import PhysicalField, SpectralField, to_physical
 from .lattice import OperatorSymbol
 from .model import ModelParams, nprime, nprime_increment
 from .sav_cn import StepperState, StepReport, _advance, _frozen_ratio, _increments, evolve, init_state
@@ -144,8 +146,9 @@ def integration_matrix(grid: ChebGrid) -> IntegrationMatrix:
 
 @dataclass(eq=False)
 class SdcTrajectory:
-    """One block's node states and energy rows, built only by `_refreeze`;
-    the sweep reads each node's facts off its state.
+    """One block's node states and energy rows, built by `predict` from the
+    stepper's states and by `_refreeze` after a sweep; the sweep reads each
+    node's facts off its state.
 
     `ws` is the (nodes, modes) array of the last `correct` along the
     trajectory, None before one.  `correct` fills it with each node's
@@ -173,8 +176,7 @@ def predict(
     _, reports = evolve(
         state, grid.nodes, symbol, params, on_step=lambda i, st, report: states.append(st)
     )
-    phis = [st.phi for st in states]
-    return _refreeze(state, phis, grid, symbol, params, stepped=(states, reports))
+    return SdcTrajectory(grid=grid, states=states, reports=reports)
 
 
 def correct(
@@ -257,9 +259,11 @@ def correct(
             rhs -= bracket
             del bracket
         np.divide(rhs, 1.0 + 0.5 * tau * g2, out=rhs)
-        # The projection keeps the correction exactly conjugate-symmetric
-        # and off the modes that are not live, whatever the rounding above.
-        eps = enforce_hermitian(SpectralField(grid0, rhs)).half
+        # Every term above is a real diagonal map or a real-weighted sum of
+        # exactly symmetric data that is zero off the live modes, so both
+        # members of a pair round alike: the correction is symmetric and
+        # masked by construction.  It leaves the row, which takes the field.
+        eps = rhs.copy()
         zc = eps.ravel()[zero]
         if not abs(zc) <= 1e-13:  # also trips on a non-finite correction
             raise NumericalError(f"the correction moved the zero mode to {zc!r}")
@@ -296,28 +300,24 @@ def _refreeze(
     grid: ChebGrid,
     symbol: OperatorSymbol,
     params: ModelParams,
-    stepped=None,
 ) -> SdcTrajectory:
-    """Build the trajectory along node fields phis from the block's initial
-    state `start`, whose field is phis[0].
+    """Build the trajectory along the corrected node fields phis from the
+    block's initial state `start`, whose field is phis[0].
 
-    `stepped` is (states, reports) as the stepper produced them, when phis
-    are its fields.  Otherwise each interval freezes u at the extrapolant
-    and takes the increment of R on the stored fields, with the stepper's
-    own code, so along the predictor's fields this reproduces the stepper
-    bit for bit; two transforms per interval."""
-    if stepped is None:
-        states, reports = [start], []
-        for n in range(1, len(phis)):
-            tau = float(grid.taus[n - 1])
-            u_c, sqrt_f1 = _frozen_ratio(states[-1], params)
-            increments = _increments(states[-1], u_c, phis[n], tau)
-            del u_c
-            state, report = _advance(states[-1], *increments, sqrt_f1, phis[n], tau, symbol, params)
-            states.append(state)
-            reports.append(report)
-    else:
-        states, reports = stepped
+    Each interval freezes u at the extrapolant and takes the increment of R
+    on the stored fields with the stepper's own code, so along the
+    predictor's fields this reproduces the stepper bit for bit, and each
+    node meets the stepper's finiteness check; two transforms per
+    interval."""
+    states, reports = [start], []
+    for n in range(1, len(phis)):
+        tau = float(grid.taus[n - 1])
+        u_c, sqrt_f1 = _frozen_ratio(states[-1], params)
+        increments = _increments(states[-1], u_c, phis[n], tau)
+        del u_c
+        state, report = _advance(states[-1], *increments, sqrt_f1, phis[n], tau, symbol, params)
+        states.append(state)
+        reports.append(report)
     return SdcTrajectory(grid=grid, states=states, reports=reports)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from ipfc import (
     ModelParams,
-    OperatorSymbol,
     ProjectionSpec,
     build_grid,
     build_symbol,
@@ -69,18 +68,6 @@ def raster_terms(fld, floor):
     h, mirror = grid.modes_at(pos), grid.modes_at(-pos % grid.sizes)
     interior = (pos[:, -1] > 0) & (pos[:, -1] < grid.half_sizes[-1] - 1)
     return len(pos) + int((interior & (mirror != -h).any(axis=1)).sum())
-
-
-@pytest.fixture(autouse=True)
-def _full_symbol_views(request, monkeypatch):
-    """The acceptance suite's energy identity (criterion 3) reads the symbol
-    in the full layout as `symbol.g` and `symbol.g2`; the library stores only
-    the half layout, so that module gets them as `grid.unfold` views."""
-    if request.module.__name__ == "test_acceptance":
-        g = property(lambda s: s.grid.unfold(s.g_half))
-        g2 = property(lambda s: s.grid.unfold(s.g2_half))
-        monkeypatch.setattr(OperatorSymbol, "g", g, raising=False)
-        monkeypatch.setattr(OperatorSymbol, "g2", g2, raising=False)
 
 
 @pytest.fixture

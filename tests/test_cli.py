@@ -7,7 +7,10 @@ import pytest
 
 import ipfc
 from ipfc.cli import main
+from ipfc.field import dump_field
 from ipfc.harness import ENERGY_HEADER
+
+from conftest import random_field
 
 CONFIG = """
 [projection]
@@ -213,6 +216,29 @@ def test_numerical_failure_keeps_energy_log(tmp_path, capsys):
     lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
     assert lines[0] == ENERGY_HEADER
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1"]
+
+
+def test_non_finite_sdc_node_exit_code(tmp_path, capsys, dodecagonal_small):
+    # a rough start makes the first block's swept nodes overflow: exit 2,
+    # with the initial row kept and no inf or nan row written
+    spec, grid = dodecagonal_small
+    with open(tmp_path / "rough.field", "w", encoding="utf-8") as fh:
+        dump_field(random_field(grid, np.random.default_rng(0), scale=0.1), fh)
+    P = " ; ".join(" ".join(repr(float(v)) for v in row) for row in spec.P)
+    cfg = tmp_path / "rough.cfg"
+    cfg.write_text(
+        f"[projection]\nd = 2\nn = 4\nP = {P}\nB = identity\nsizes = 8 8 8 8\n"
+        "\n[model]\nq = 1.0 1.9318516525781366\neps = -2.0\nalpha = 2.0\nc1 = 1e16\n"
+        "\n[time]\nT = 0.5\nnt = 4\nscheme = sav_cn_sdc\nsweeps = 1\n"
+        "\n[initial]\nkind = field_file\nfile = rough.field\n"
+        "\n[output]\ndir = out\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["evolve", str(cfg)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
+    assert lines[0] == ENERGY_HEADER
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["0"]
 
 
 def test_scales_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from ipfc import (
     build_symbol,
@@ -17,6 +18,7 @@ from ipfc import (
     zeros_field,
 )
 from ipfc.errors import NumericalError
+from ipfc.field import hermitian_violation
 from ipfc.model import ModelParams, bulk_mean, energy
 
 from conftest import Q_BENCH, grid_1d, params_bench, random_field, sine_field
@@ -189,6 +191,73 @@ def test_correct_non_finite_raises_numerical_error(bench_1d, rng):
         correct(traj, S, symbol, params)
 
 
+def _ddqc_small(dodecagonal_small):
+    """The 8^4 dodecagonal grid with the dodecagonal configs' model; not
+    every mode of this grid is live."""
+    spec, grid = dodecagonal_small
+    params = ModelParams(q=(1.0, 1.9318516525781366), eps=-2.0, alpha=2.0, c1=1e16)
+    return grid, build_symbol(spec, grid, params.q), params
+
+
+def test_sdc_non_finite_node_raises(dodecagonal_small):
+    # a rough start makes the swept nodes overflow; the refreeze runs the
+    # stepper's finiteness check on every node instead of returning inf
+    # and nan energy rows
+    grid, symbol, params = _ddqc_small(dodecagonal_small)
+    phi0 = random_field(grid, np.random.default_rng(0), scale=0.1)
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        sdc_solve(
+            init_state(phi0, symbol, params), 0.5, 4, symbol, params, sweeps=1,
+            on_step=lambda i, st, rep: rows.append(rep),
+        )
+    assert rows == []
+
+
+def test_diverging_sweeps_raise_at_the_node(bench_1d):
+    # three sweeps diverge on this rough start; the first non-finite node
+    # is caught where it is built, not later as a NaN shifted bulk energy
+    # with the advice to increase c1
+    spec, grid, symbol, params = bench_1d
+    phi0 = random_field(grid, np.random.default_rng(7), scale=0.2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as err:
+        sdc_solve(init_state(phi0, symbol, params), 0.05, 16, symbol, params, sweeps=3, block=16)
+    assert err.traceback[-1].name == "_advance"
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    strategies.booleans(),
+    strategies.integers(0, 2**32 - 1),
+    strategies.sampled_from([1, 2]),
+    strategies.booleans(),
+)
+def test_corrections_symmetric_by_construction(
+    bench_1d, dodecagonal_small, projected, seed, sweeps, dealias
+):
+    # every field a sweep returns is exactly conjugate-symmetric and zero
+    # on the modes that are not live, with no projection in the sweep
+    from ipfc.sdc import _refreeze
+
+    if projected:
+        grid, symbol, params = _ddqc_small(dodecagonal_small)
+        scale, T = 0.01, 0.01
+    else:
+        _, grid, symbol, params = bench_1d
+        scale, T = 0.2, 0.05
+    phi0 = random_field(grid, np.random.default_rng(seed), scale=scale)
+    g = cheb_nodes(T, 8)
+    S = integration_matrix(g)
+    start = init_state(phi0, symbol, params, dealias=dealias)
+    traj = predict(start, g, symbol, params)
+    for _ in range(sweeps):
+        phis = correct(traj, S, symbol, params)
+        for f in phis:
+            assert hermitian_violation(f) == 0.0
+            assert not f.half[~grid.live_mask].any()
+        traj = _refreeze(start, phis, g, symbol, params)
+
+
 def test_sdc_solve_zero_sweeps_is_predictor(bench_1d, rng):
     spec, grid, symbol, params = bench_1d
     phi0 = random_field(grid, rng, scale=0.2)
@@ -312,17 +381,21 @@ def test_sdc_on_step_states_continue_the_run(bench_1d, rng, sweeps, dealias):
 
 
 def _block_trajectories(monkeypatch):
-    """Record every trajectory sdc_solve builds, in order."""
+    """Record every trajectory sdc_solve builds, in order: each block's
+    `predict`, then one `_refreeze` per sweep."""
     import ipfc.sdc as sdc_mod
 
     built = []
-    real_refreeze = sdc_mod._refreeze
 
-    def recording_refreeze(*args, **kwargs):
-        built.append(real_refreeze(*args, **kwargs))
-        return built[-1]
+    def recording(real):
+        def record(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
 
-    monkeypatch.setattr(sdc_mod, "_refreeze", recording_refreeze)
+        return record
+
+    for name in ("predict", "_refreeze"):
+        monkeypatch.setattr(sdc_mod, name, recording(getattr(sdc_mod, name)))
     return built
 
 

@@ -59,3 +59,25 @@ def test_no_full_layout_coefficient_reads(path):
     defines = any(isinstance(n, ast.FunctionDef) and n.name == "coeffs" for n in ast.walk(tree))
     assert reads == []
     assert defines == (path.name == "field.py")
+
+
+_SYMMETRIZERS = {"enforce_hermitian", "_symmetrize"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_symmetrization_only_in_field(path):
+    # fields are conjugate-symmetric by construction: only the folds and the
+    # forward transform in field.py make symmetry, and field.py must still
+    # be found making it
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _SYMMETRIZERS:
+                lines.append(node.lineno)
+    if path.name == "field.py":
+        assert lines
+    else:
+        assert lines == []
