@@ -38,7 +38,6 @@ from .model import (
 from .sav_cn import StepReport, StepperState, cn_step, evolve, init_state, modified_energy
 from .sdc import (
     ChebGrid,
-    IntegrationMatrix,
     SdcTrajectory,
     block_bytes,
     cheb_nodes,

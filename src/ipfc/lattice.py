@@ -211,7 +211,6 @@ class OperatorSymbol:
     """
 
     grid: IndexGrid
-    q: tuple
     g_half: np.ndarray
     g2_half: np.ndarray
 
@@ -328,7 +327,7 @@ def build_symbol(spec: ProjectionSpec, grid: IndexGrid, q) -> OperatorSymbol:
     g = np.ones_like(grid.ksq)
     for qj in q:
         g = g * (qj * qj - grid.ksq)
-    return OperatorSymbol(grid=grid, q=q, g_half=g, g2_half=g * g)
+    return OperatorSymbol(grid=grid, g_half=g, g2_half=g * g)
 
 
 def raster_axes(d: int, window, resolution):

@@ -7,9 +7,11 @@ equation interval by interval.  One sweep lifts the global order from two
 to four.
 
 An `SdcTrajectory` is a block's node states and energy rows.  A state holds
-its node's field, samples, auxiliary-scalar deviation and the sqrt(F1) its
-step froze, so the sweep reads each interval's frozen ratio coefficient off
-the two states that bound it.  `predict` builds the trajectory from the
+its node's field, the samples of that field and of the previous node's, the
+auxiliary-scalar deviation and the sqrt(F1) its step froze, so the sweep
+reads each interval's frozen ratio coefficient off the two states that bound
+it and sqrt(c1) off the model parameters.  Inside a block, states keep the
+time since the block's start.  `predict` builds the trajectory from the
 stepper's own states, so a predicted node costs the stepper's two
 transforms; after a sweep `_refreeze` re-runs the stepper's update on the
 corrected fields, at two transforms per node.  Both pass every node through
@@ -59,7 +61,6 @@ from .sav_cn import StepperState, StepReport, _advance, _frozen_ratio, _incremen
 
 __all__ = [
     "ChebGrid",
-    "IntegrationMatrix",
     "SdcTrajectory",
     "cheb_nodes",
     "integration_matrix",
@@ -100,20 +101,12 @@ def cheb_nodes(T: float, n_t: int) -> ChebGrid:
     return ChebGrid(T=float(T), nodes=nodes, taus=taus)
 
 
-@dataclass(frozen=True, eq=False)
-class IntegrationMatrix:
-    """S[n, j] = integral of the j-th Lagrange cardinal over [t_n, t_{n+1}].
-
-    Row sums equal the interval lengths; quadrature with these weights is
-    exact for polynomials up to the node-count degree.
-    """
-
-    S: np.ndarray
-
-
-def integration_matrix(grid: ChebGrid) -> IntegrationMatrix:
-    """Interpolatory weights, built by expanding each nodal cardinal in the
-    Chebyshev basis and integrating term-wise.
+def integration_matrix(grid: ChebGrid) -> np.ndarray:
+    """The read-only interpolatory weights S[n, j], the integral of the j-th
+    Lagrange cardinal over [t_n, t_{n+1}]: quadrature exact for polynomials
+    up to the node-count degree, with row sums the interval lengths.  Built
+    by expanding each cardinal in the Chebyshev basis and integrating
+    term-wise.
 
     At these clustered nodes the cardinal coefficients are a plain cosine
     transform, a[k, j] = 2 cos(k j pi / N) / (N c_k c_j) with c_0 = c_N = 2,
@@ -141,7 +134,7 @@ def integration_matrix(grid: ChebGrid) -> IntegrationMatrix:
     diff = anti[:-1, :] - anti[1:, :]
     S = np.ascontiguousarray(0.5 * grid.T * (diff @ A))
     S.setflags(write=False)
-    return IntegrationMatrix(S=S)
+    return S
 
 
 @dataclass(eq=False)
@@ -180,7 +173,7 @@ def predict(
 
 
 def correct(
-    traj: SdcTrajectory, S: IntegrationMatrix, symbol: OperatorSymbol, params: ModelParams
+    traj: SdcTrajectory, S: np.ndarray, symbol: OperatorSymbol, params: ModelParams
 ) -> List[SpectralField]:
     """One linear correction sweep over the trajectory's nodes, with S the
     integration matrix of `traj.grid`; returns the corrected fields at all
@@ -223,7 +216,7 @@ def correct(
         np.multiply(st.phi.half.ravel(), g2.ravel(), out=row)
         row += nprime(st.samples, params).half.ravel()
         row[zero] = 0.0
-    _quadratures_in_place(ws, S.S)
+    _quadratures_in_place(ws, S)
 
     factor = states[0].samples.factor
     eps = np.zeros(grid0.half_sizes, dtype=complex)
@@ -254,7 +247,7 @@ def correct(
             ).half
             del fbar, ebar
             bracket.ravel()[zero] = 0.0
-            kappa = (states[0].sqrt_c1 + 0.5 * (a.r_dev + b.r_dev)) / b.sqrt_f1
+            kappa = (np.sqrt(params.c1) + 0.5 * (a.r_dev + b.r_dev)) / b.sqrt_f1
             bracket *= tau * kappa
             rhs -= bracket
             del bracket

@@ -267,16 +267,18 @@ def test_criterion_3_per_step_energy_identity(rng):
     steps = 0
     for c1 in (1e2, 1e16):
         params = params_bench(c1=c1)
+        sqrt_c1 = np.sqrt(params.c1)
         for rep_i in range(5):
             st = init_state(random_field(grid, rng, scale=0.3), symbol, params)
+            phi_prev = None  # the previous loop state's field
             for k in range(5):
                 tau = float(10 ** rng.uniform(-3, -1.3))
                 st2, _ = cn_step(st, tau, symbol, params)
-                fbar = st.phi if st.phi_prev is None else 1.5 * st.phi - 0.5 * st.phi_prev
+                fbar = st.phi if phi_prev is None else 1.5 * st.phi - 0.5 * phi_prev
                 u, _ = sav_ingredients(fbar, params)
                 u_c = u.coeffs.copy()
                 u_c.ravel()[grid.zero_index] = 0.0
-                r_half = st.sqrt_c1 + 0.5 * (st.r_dev + st2.r_dev)
+                r_half = sqrt_c1 + 0.5 * (st.r_dev + st2.r_dev)
                 w_b = g2 * 0.5 * (st2.phi.coeffs + st.phi.coeffs) + r_half * u_c
                 wn2 = float(np.vdot(w_b, w_b).real)
 
@@ -286,12 +288,12 @@ def test_criterion_3_per_step_energy_identity(rng):
                 lhs = (
                     grad(st2.phi.coeffs)
                     - grad(st.phi.coeffs)
-                    + (st2.r_dev - st.r_dev) * (st2.r_dev + st.r_dev + 2 * st.sqrt_c1)
+                    + (st2.r_dev - st.r_dev) * (st2.r_dev + st.r_dev + 2 * sqrt_c1)
                 )
                 resid = abs(lhs + tau * wn2) / (abs(lhs) + tau * wn2 + 1e-30)
                 worst = max(worst, resid)
                 steps += 1
-                st = st2
+                phi_prev, st = st.phi, st2
     assert steps == 50
     assert worst <= 1e-9
     print(f"\n[PASS] criterion 3: identity residual <= {worst:.2e} over 50 random steps")
@@ -375,7 +377,7 @@ def test_criterion_7_quadrature_exactness():
             vals = g.nodes**k
             exact = (g.nodes[1:] ** (k + 1) - g.nodes[:-1] ** (k + 1)) / (k + 1)
             scale = max(np.abs(exact).max(), 1e-300)
-            worst = max(worst, float(np.abs(S.S @ vals - exact).max() / scale))
+            worst = max(worst, float(np.abs(S @ vals - exact).max() / scale))
     assert worst <= 1e-12
     print(f"\n[PASS] criterion 7: monomial quadrature rel err {worst:.2e} (n <= 32)")
 

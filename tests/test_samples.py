@@ -90,9 +90,10 @@ def test_carried_samples_match_fields(taus, c1, dealias, seed):
     state = init_state(phi0, symbol, params, dealias=dealias)
     _assert_samples_match(state.phi, state.samples, dealias)
     times = np.concatenate([[0.0], np.cumsum(taus)])
-    state, _ = evolve(state, times, symbol, params)
+    states = [state]
+    state, _ = evolve(state, times, symbol, params, on_step=lambda i, s, r: states.append(s))
     _assert_samples_match(state.phi, state.samples, dealias)
-    _assert_samples_match(state.phi_prev, state.prev_samples, dealias)
+    _assert_samples_match(states[-2].phi, state.prev_samples, dealias)
 
 
 @settings(deadline=None, max_examples=15)

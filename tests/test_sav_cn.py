@@ -43,18 +43,21 @@ def rk4_reference(phi0, t_end, nsub, symbol, params):
     return f
 
 
-def reconstructed_w(state_before, state_after, symbol, params):
+def r_value(state, params):
+    """R = sqrt(c1) + r_dev, the auxiliary scalar a state stands for."""
+    return np.sqrt(params.c1) + state.r_dev
+
+
+def reconstructed_w(state_before, state_after, symbol, params, phi_prev=None):
     """Half-point force rebuilt from its defining form (stiff part at the
-    midpoint plus the frozen-ratio nonlinearity)."""
-    fbar = (
-        state_before.phi
-        if state_before.phi_prev is None
-        else 1.5 * state_before.phi - 0.5 * state_before.phi_prev
-    )
+    midpoint plus the frozen-ratio nonlinearity); phi_prev is the field
+    before state_before's, None on the first step."""
+    assert (phi_prev is None) == (state_before.prev_samples is None)
+    fbar = state_before.phi if phi_prev is None else 1.5 * state_before.phi - 0.5 * phi_prev
     u, _ = sav_ingredients(fbar, params)
     u_c = u.coeffs.copy()
     u_c.ravel()[state_before.phi.grid.zero_index] = 0.0
-    r_half = state_before.sqrt_c1 + 0.5 * (state_before.r_dev + state_after.r_dev)
+    r_half = np.sqrt(params.c1) + 0.5 * (state_before.r_dev + state_after.r_dev)
     g2 = symbol.grid.unfold(symbol.g2_half)
     return g2 * 0.5 * (state_after.phi.coeffs + state_before.phi.coeffs) + r_half * u_c
 
@@ -62,8 +65,8 @@ def reconstructed_w(state_before, state_after, symbol, params):
 def test_init_zero_field(bench_1d):
     spec, grid, symbol, params = bench_1d
     st = init_state(zeros_field(grid), symbol, params)
-    assert st.r == pytest.approx(np.sqrt(params.c1), rel=1e-14)
-    assert st.phi_prev is None
+    assert r_value(st, params) == pytest.approx(np.sqrt(params.c1), rel=1e-14)
+    assert st.prev_samples is None
 
 
 def test_init_sine_frozen_value():
@@ -74,7 +77,7 @@ def test_init_sine_frozen_value():
     symbol = build_symbol(spec, grid, (np.sqrt(2.0), np.sqrt(3.0)))
     params = params_bench(c1=100.0)
     st = init_state(sine_field(grid), symbol, params)
-    assert st.r == pytest.approx(np.sqrt(2.59375 + 100.0), rel=1e-13)
+    assert r_value(st, params) == pytest.approx(np.sqrt(2.59375 + 100.0), rel=1e-13)
 
 
 def test_init_rejects_nonzero_mean(bench_1d):
@@ -90,7 +93,7 @@ def test_zero_state_is_fixed_point(bench_1d):
     st = init_state(zeros_field(grid), symbol, params)
     st2, rep = cn_step(st, 0.3, symbol, params)
     assert norm_ap(st2.phi) == 0.0
-    assert st2.r == pytest.approx(st.r, rel=1e-15)
+    assert r_value(st2, params) == pytest.approx(r_value(st, params), rel=1e-15)
 
 
 def test_scheme_residual_substitution(bench_1d, rng):
@@ -103,9 +106,7 @@ def test_scheme_residual_substitution(bench_1d, rng):
         phi_prev = random_field(grid, rng, scale=0.3)
         st = StepperState(
             phi=st.phi,
-            phi_prev=phi_prev,
             r_dev=st.r_dev,
-            sqrt_c1=st.sqrt_c1,
             t=0.0,
             samples=st.samples,
             prev_samples=to_physical(phi_prev),
@@ -113,14 +114,14 @@ def test_scheme_residual_substitution(bench_1d, rng):
         tau = 10 ** rng.uniform(-3, -0.5)
         st2, rep = cn_step(st, tau, symbol, params)
 
-        w_b = reconstructed_w(st, st2, symbol, params)
+        w_b = reconstructed_w(st, st2, symbol, params, phi_prev)
         w_a = -(st2.phi.coeffs - st.phi.coeffs) / tau
         scale = max(
             np.abs(w_b).max(), (grid.unfold(symbol.g2_half) * np.abs(st.phi.coeffs)).max(), 1e-30
         )
         assert np.abs(w_b - w_a).max() / scale < 1e-10
 
-        fbar = 1.5 * st.phi - 0.5 * st.phi_prev
+        fbar = 1.5 * st.phi - 0.5 * phi_prev
         u, _ = sav_ingredients(fbar, params)
         u_c = u.coeffs.copy()
         u_c.ravel()[grid.zero_index] = 0.0
@@ -144,7 +145,7 @@ def test_local_order_ratio():
         phi_n = rk4_reference(phi_start, 2 * tau, 800, symbol, params)
         st = init_state(phi_n, symbol, params)
         st = StepperState(
-            phi=phi_n, phi_prev=phi_prev, r_dev=st.r_dev, sqrt_c1=st.sqrt_c1, t=0.0,
+            phi=phi_n, r_dev=st.r_dev, t=0.0,
             samples=st.samples, prev_samples=to_physical(phi_prev),
         )
         st2, _ = cn_step(st, step, symbol, params)
@@ -203,10 +204,11 @@ def test_discrete_energy_identity(rng, c1):
     symbol = build_symbol(spec, grid, (np.sqrt(2.0), np.sqrt(3.0)))
     params = params_bench(c1=c1)
     st = init_state(random_field(grid, rng, scale=0.3), symbol, params)
+    phi_prev = None
     for k in range(10):
         tau = (0.7 + 0.3 * np.sin(k)) * 0.05
         st2, rep = cn_step(st, tau, symbol, params)
-        w_b = reconstructed_w(st, st2, symbol, params)
+        w_b = reconstructed_w(st, st2, symbol, params, phi_prev)
         wn2 = float(np.vdot(w_b, w_b).real)
 
         def grad(c):
@@ -216,11 +218,11 @@ def test_discrete_energy_identity(rng, c1):
         lhs = (
             grad(st2.phi.coeffs)
             - grad(st.phi.coeffs)
-            + (st2.r_dev - st.r_dev) * (st2.r_dev + st.r_dev + 2 * st.sqrt_c1)
+            + (st2.r_dev - st.r_dev) * (st2.r_dev + st.r_dev + 2 * np.sqrt(params.c1))
         )
         rhs = -tau * wn2
         assert abs(lhs - rhs) <= 1e-9 * (abs(lhs) + tau * wn2 + 1e-30)
-        st = st2
+        phi_prev, st = st.phi, st2
 
 
 def test_mass_conservation(bench_1d, rng):
@@ -246,7 +248,8 @@ def test_scalar_solve_consistency(bench_1d, rng):
     u = SpectralField(grid, _frozen_ratio(st, params)[0])
     s = inner_ap(u, st2.phi)
     half_g2 = 0.5 * tau * symbol.g2_half
-    c = (1.0 - half_g2) * st.phi.half + (0.25 * tau * inner_ap(u, st.phi) - tau * st.r) * u.half
+    r = r_value(st, params)
+    c = (1.0 - half_g2) * st.phi.half + (0.25 * tau * inner_ap(u, st.phi) - tau * r) * u.half
     expected = (c - 0.25 * tau * s * u.half) / (1.0 + half_g2)
     np.testing.assert_allclose(st2.phi.half, expected, rtol=0, atol=1e-11 * np.abs(expected).max())
 
@@ -315,7 +318,7 @@ def test_report_fields(bench_1d, rng):
     st2, rep = cn_step(st, 0.02, symbol, params)
     assert np.isfinite(rep.modified_energy)
     assert np.isfinite(rep.original_energy)
-    assert rep.r_value == pytest.approx(st2.r)
+    assert rep.r_value == pytest.approx(r_value(st2, params))
     # w_norm_sq equals the squared step displacement over tau^2
     d = st2.phi - st.phi
     assert rep.w_norm_sq == pytest.approx(inner_ap(d, d) / 0.02**2, rel=1e-12)

@@ -81,3 +81,33 @@ def test_symmetrization_only_in_field(path):
         assert lines
     else:
         assert lines == []
+
+
+def _call_name(node):
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_states_built_only_in_sav_cn(path):
+    # `init_state` and `_advance` alone establish that a state's samples and
+    # previous samples are the transforms of phi^n and phi^{n-1}; elsewhere a
+    # state is only re-timed with dataclasses.replace, and sav_cn.py must
+    # still be found building states
+    from dataclasses import fields
+
+    from ipfc.sav_cn import StepperState
+
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    built = [n.lineno for n in calls if _call_name(n) == "StepperState"]
+    contents = {f.name for f in fields(StepperState)} - {"t"}
+    rebuilt = [
+        n.lineno for n in calls
+        if _call_name(n) == "replace" and any(k.arg in contents for k in n.keywords)
+    ]
+    assert rebuilt == []
+    if path.name == "sav_cn.py":
+        assert built
+    else:
+        assert built == []

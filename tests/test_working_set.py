@@ -185,9 +185,9 @@ def test_load_peak_is_the_field_plus_its_table_and_scratch():
     assert peak - fld.half.nbytes <= LOAD_SCRATCH_TABLES * table
 
 
-def test_evolution_frees_the_initial_field_after_step_two(tmp_path, monkeypatch):
+def test_evolution_frees_the_initial_field_after_step_one(tmp_path, monkeypatch):
     # no harness frame keeps the initial field or its state: sav_cn reads it
-    # through step 2, then frees it; the run dumps at each of its 9 nodes
+    # in step 1, then frees it; the run dumps at each of its 9 nodes
     times = " ".join(repr(0.05 * i / 8) for i in range(9))
     text = CONFIG.replace("dump_times = 0.05", f"dump_times = {times}")
     initial = []
@@ -208,7 +208,7 @@ def test_evolution_frees_the_initial_field_after_step_two(tmp_path, monkeypatch)
     monkeypatch.setattr(harness, "build_initial", build)
     monkeypatch.setattr(harness, "dump_field", dump)
     run_evolution(parse_config(text), str(tmp_path))
-    assert alive == [True, True] + [False] * 7
+    assert alive == [True] + [False] * 8
 
 
 @pytest.mark.parametrize("n_t, width", [(4, 5000), (12, 3000), (65, 700)])
@@ -217,7 +217,7 @@ def test_quadratures_in_place_match_full_width_sums(rng, monkeypatch, n_t, width
     # column blocks sum each column in the order a full-width row sum does,
     # so the sweep's outputs do not depend on QUAD_BLOCK
     monkeypatch.setattr(sdc_mod, "QUAD_BLOCK", block)
-    S = integration_matrix(cheb_nodes(0.3, n_t)).S
+    S = integration_matrix(cheb_nodes(0.3, n_t))
     ws = rng.standard_normal((n_t + 1, width)) + 1j * rng.standard_normal((n_t + 1, width))
     expect = [np.einsum("m,mk->k", S[n], ws.view(np.float64)) for n in range(n_t)]
     last = ws[n_t].copy()
@@ -229,8 +229,8 @@ def test_quadratures_in_place_match_full_width_sums(rng, monkeypatch, n_t, width
 
 def _state_arrays(state):
     arrays = [state.phi.half, state.samples.values]
-    if state.phi_prev is not None:
-        arrays += [state.phi_prev.half, state.prev_samples.values]
+    if state.prev_samples is not None:
+        arrays.append(state.prev_samples.values)
     return arrays
 
 
