@@ -99,7 +99,7 @@ class SpectralField:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.half / float(scalar))
+        return SpectralField(self.grid, self.half * (1.0 / float(scalar)))
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.half.copy())
@@ -283,7 +283,7 @@ def to_spectral(p: PhysicalField) -> SpectralField:
     v = p.values
     half = np.empty(v.shape[:-1] + (v.shape[-1] // 2 + 1,), dtype=np.complex128)
     np.fft.rfftn(v, axes=tuple(range(v.ndim)), out=half)
-    half /= v.size
+    half *= 1.0 / v.size
     if p.factor > 1:
         half = _extract_truncated(half, p.grid.sizes, p.factor)
     return SpectralField(p.grid, _symmetrize(half, p.grid))

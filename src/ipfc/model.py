@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import poly_eval
+from ._kernels import poly_increment
 from .errors import BulkPositivityError, NumericalError
 from .field import (
     PhysicalField,
@@ -106,13 +106,7 @@ def nprime_increment(fbar: PhysicalField, ebar: PhysicalField, params: ModelPara
     """N'(fbar + ebar) - N'(fbar) of the fields sampled by fbar and ebar,
     formed pointwise: one forward transform.  Consumes both sample arrays,
     which hold the sum and the increment."""
-    terms = _nprime_terms(params)
-    total = ebar.values
-    total += fbar.values
-    at_fbar = poly_eval(fbar.values, terms)
-    inc = poly_eval(total, terms, out=fbar.values)
-    inc -= at_fbar
-    del at_fbar
+    inc = poly_increment(fbar.values, ebar.values, _nprime_terms(params))
     return to_spectral(PhysicalField(fbar.grid, inc, fbar.factor))
 
 
@@ -124,7 +118,7 @@ def sav_ingredients(fbar, params: ModelParams):
     p = fbar if isinstance(fbar, PhysicalField) else to_physical(fbar)
     sqrt_f1 = float(np.sqrt(_shifted_bulk(bulk_mean(p, params), params)))
     u = nprime(p, params)
-    u.half /= sqrt_f1
+    u.half *= 1.0 / sqrt_f1
     return u, sqrt_f1
 
 

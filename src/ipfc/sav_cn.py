@@ -30,6 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._kernels import blocks, extrapolate
 from .errors import NumericalError
 from .field import (
     PhysicalField,
@@ -45,6 +46,7 @@ __all__ = [
     "StepperState",
     "StepReport",
     "init_state",
+    "restart_state",
     "initial_report",
     "cn_step",
     "modified_energy",
@@ -60,7 +62,8 @@ class StepperState:
 
     `samples` and `prev_samples` are the collocation samples of phi^n and
     phi^{n-1} (None before the first step); every step from this state
-    samples on their grid.  Only `init_state` and `_advance` build states.
+    samples on their grid.  Only `init_state`, `restart_state` and
+    `_advance` build states.
     `sqrt_f1` is sqrt(F1(fbar)) as frozen by the step that produced the
     state, None before the first step.
     """
@@ -109,6 +112,21 @@ def init_state(
     )
 
 
+def restart_state(state: StepperState, params: ModelParams) -> StepperState:
+    """Start a new trajectory at t = 0 from a state's field and its samples,
+    taken as they are: R restarts from sqrt(F1(phi)) and there is no
+    previous field, as `init_state(state.phi, ...)` would give, without
+    its checks of the field or its inverse transform."""
+    nu = bulk_mean(state.samples, params)
+    _shifted_bulk(nu, params)  # raises unless the shifted bulk energy is positive
+    return StepperState(
+        phi=state.phi,
+        r_dev=float(sqrt_f1_deviation(nu, params.c1)),
+        t=0.0,
+        samples=state.samples,
+    )
+
+
 def initial_report(state: StepperState, symbol: OperatorSymbol, params: ModelParams) -> StepReport:
     """Energy row of a state's field as an initial node, from its samples."""
     nu = bulk_mean(state.samples, params)
@@ -142,8 +160,7 @@ def _frozen_ratio(state: StepperState, params: ModelParams):
     if state.prev_samples is None:
         vbar = v
     else:
-        vbar = PhysicalField(v.grid, v.values * 1.5, v.factor)
-        vbar.values -= state.prev_samples.values * 0.5
+        vbar = PhysicalField(v.grid, extrapolate(v.values, state.prev_samples.values), v.factor)
     u, sqrt_f1 = sav_ingredients(vbar, params)
     u.half.ravel()[u.grid.zero_index] = 0.0  # mass constraint: u acts in the mean-zero space
     return u.half, sqrt_f1
@@ -191,6 +208,24 @@ def _advance(
     return new_state, report
 
 
+def _resolvent_terms(phi_c, u_c, g2, tau: float, k: float):
+    """The solve's terms, block by block: inv = 1 / (1 + tau/2 g2),
+    c = (1 - tau/2 g2) phi + k u and u * inv.  Dividing by the real
+    resolvent is multiplying by inv: numpy divides by d + 0j as
+    (re + im * 0) * (1/d), the same values.  Returns (inv, c, u * inv)."""
+    inv = np.empty(u_c.shape)
+    c, u_inv = np.empty_like(u_c), np.empty_like(u_c)
+    flat = [x.reshape(-1) for x in (inv, c, u_inv, phi_c, u_c, g2)]
+    for b in blocks(c.size, c.itemsize):
+        inv_b, c_b, u_inv_b, phi_b, u_b, g2_b = (x[b] for x in flat)
+        half_g2 = (0.5 * tau) * g2_b
+        np.reciprocal(np.add(1.0, half_g2, out=inv_b), out=inv_b)
+        np.multiply(phi_b, np.subtract(1.0, half_g2, out=half_g2), out=c_b)
+        c_b += k * u_b
+        np.multiply(u_b, inv_b, out=u_inv_b)
+    return inv, c, u_inv
+
+
 def cn_step(state: StepperState, tau: float, symbol: OperatorSymbol, params: ModelParams):
     """Advance one step of size tau; returns (new_state, report)."""
     if tau <= 0:
@@ -202,26 +237,24 @@ def cn_step(state: StepperState, tau: float, symbol: OperatorSymbol, params: Mod
     u_phi = _coeff_inner(u_c, phi_c)
 
     # (I + tau/2 G^2) phi^{n+1} = c - tau/4 s u, with both diagonals real.
-    # Arithmetic is in place and each temporary is dropped once spent, so
-    # the step's peak memory is the solve's: u, denom, c and one scratch.
-    half_g2 = (0.5 * tau) * symbol.g2_half
-    denom = 1.0 + half_g2
-    np.subtract(1.0, half_g2, out=half_g2)
-    c = phi_c * half_g2
-    del half_g2
-    c += (0.25 * tau * u_phi - tau * (math.sqrt(params.c1) + state.r_dev)) * u_c
-
-    scratch = u_c / denom
+    # The solve holds u, inv, c and one scratch, and its elementwise passes
+    # run block by block, in cache.
+    k = 0.25 * tau * u_phi - tau * (math.sqrt(params.c1) + state.r_dev)
+    inv, c, scratch = _resolvent_terms(phi_c, u_c, symbol.g2_half, tau, k)
     gamma = _coeff_inner(scratch, u_c)
-    np.divide(c, denom, out=scratch)
+    np.multiply(c, inv, out=scratch)
     s = _coeff_inner(scratch, u_c) / (1.0 + 0.25 * tau * gamma)
-    c -= np.multiply(0.25 * tau * s, u_c, out=scratch)
     del scratch
+    k = 0.25 * tau * s
+    for b in blocks(c.size, c.itemsize):
+        c_b = c.reshape(-1)[b]
+        c_b -= k * u_c.reshape(-1)[b]
+        c_b *= inv.reshape(-1)[b]
     # Real diagonal maps of conjugate-symmetric data stay symmetric, so the
     # new field needs no symmetrization.
-    phi_new = SpectralField(grid, np.divide(c, denom, out=c))
+    phi_new = SpectralField(grid, c)
     phi_new.half.ravel()[grid.zero_index] = 0.0
-    del denom
+    del inv
 
     r_inc, w_norm_sq = _increments(state, u_c, phi_new, tau)
     del u_c

@@ -53,11 +53,14 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ._kernels import blocks, extrapolate
 from .errors import ConfigError, NumericalError
 from .field import PhysicalField, SpectralField, to_physical
 from .lattice import OperatorSymbol
 from .model import ModelParams, nprime, nprime_increment
-from .sav_cn import StepperState, StepReport, _advance, _frozen_ratio, _increments, evolve, init_state
+from .sav_cn import (
+    StepperState, StepReport, _advance, _frozen_ratio, _increments, evolve, restart_state,
+)
 
 __all__ = [
     "ChebGrid",
@@ -205,7 +208,7 @@ def correct(
     """
     taus = traj.grid.taus
     n_t = taus.size
-    g2 = symbol.g2_half
+    g2 = symbol.g2_half.reshape(-1)
     states = traj.states
     grid0 = states[0].phi.grid
     zero = grid0.zero_index
@@ -213,57 +216,63 @@ def correct(
     for row, st in zip(ws, states):
         # The stepped flow is the mean-constrained one, so its right-hand
         # side carries no zero mode.
-        np.multiply(st.phi.half.ravel(), g2.ravel(), out=row)
+        np.multiply(st.phi.half.ravel(), g2, out=row)
         row += nprime(st.samples, params).half.ravel()
         row[zero] = 0.0
     _quadratures_in_place(ws, S)
 
     factor = states[0].samples.factor
-    eps = np.zeros(grid0.half_sizes, dtype=complex)
+    eps = np.zeros(ws.shape[1], dtype=complex)
     e_prev = None  # samples of eps^{n-1}; eps^0 = 0 is never sampled
     out = [states[0].phi]
     for n in range(n_t):
         tau = float(taus[n])
         a, b = states[n], states[n + 1]
-        rhs = ws[n].reshape(grid0.half_sizes)  # Q^n, overwritten by the right-hand side
-        np.subtract(eps * (1.0 - 0.5 * tau * g2), rhs, out=rhs)
-        rhs -= b.phi.half - a.phi.half
+        new, old = b.phi.half.reshape(-1), a.phi.half.reshape(-1)
+        # Q^n's row takes the right-hand side, formed block by block in
+        # cache, then eps^{n+1}
+        rhs = ws[n]
+        for blk in blocks(rhs.size, rhs.itemsize):
+            r = rhs[blk]
+            np.subtract(eps[blk] * (1.0 - (0.5 * tau) * g2[blk]), r, out=r)
+            r -= new[blk] - old[blk]
+        bracket = None
         if n:
             # eps^n is spent once sampled (eps^{n+1} is formed in rhs), so
             # the inverse transform works in its array
             e = to_physical(SpectralField(grid0, eps), factor > 1, consume=True).values
             del eps
-            # Samples are combined in spent arrays: e_prev's takes fbar's,
+            # Samples are combined in spent arrays: e_prev's takes ebar's,
             # and the bracket consumes fbar's and ebar's.
-            ebar = e * 1.5
-            if e_prev is not None:
-                e_prev *= 0.5
-                ebar -= e_prev
-            fbar = np.multiply(a.samples.values, 1.5, out=e_prev)
+            ebar = e * 1.5 if e_prev is None else extrapolate(e, e_prev, out=e_prev)
+            fbar = extrapolate(a.samples.values, states[n - 1].samples.values)
             e_prev = e
-            fbar -= states[n - 1].samples.values * 0.5
             bracket = nprime_increment(
                 PhysicalField(grid0, fbar, factor), PhysicalField(grid0, ebar, factor), params
-            ).half
+            ).half.reshape(-1)
             del fbar, ebar
-            bracket.ravel()[zero] = 0.0
+            bracket[zero] = 0.0
             kappa = (np.sqrt(params.c1) + 0.5 * (a.r_dev + b.r_dev)) / b.sqrt_f1
-            bracket *= tau * kappa
-            rhs -= bracket
-            del bracket
-        np.divide(rhs, 1.0 + 0.5 * tau * g2, out=rhs)
+        for blk in blocks(rhs.size, rhs.itemsize):
+            r = rhs[blk]
+            if bracket is not None:
+                r -= bracket[blk] * (tau * kappa)
+            # the resolvent, inverted as in cn_step
+            inv = np.add(1.0, (0.5 * tau) * g2[blk])
+            r *= np.reciprocal(inv, out=inv)
+        del bracket
         # Every term above is a real diagonal map or a real-weighted sum of
         # exactly symmetric data that is zero off the live modes, so both
         # members of a pair round alike: the correction is symmetric and
         # masked by construction.  It leaves the row, which takes the field.
         eps = rhs.copy()
-        zc = eps.ravel()[zero]
+        zc = eps[zero]
         if not abs(zc) <= 1e-13:  # also trips on a non-finite correction
             raise NumericalError(f"the correction moved the zero mode to {zc!r}")
-        eps.ravel()[zero] = 0.0
+        eps[zero] = 0.0
 
         # Q^n is spent, so its row takes node n+1's corrected field.
-        field = np.add(b.phi.half, eps, out=None if n == n_t - 1 else rhs)
+        field = np.add(new, eps, out=None if n == n_t - 1 else rhs)
         out.append(SpectralField(grid0, field))
     return out
 
@@ -381,7 +390,8 @@ def sdc_solve(
     to plain predictor stepping on the Chebyshev nodes.
 
     Horizons with more than `block` intervals are split into near-equal
-    blocks chained at their endpoints.  A block whose node storage
+    blocks chained at their endpoints: a later block starts from the last
+    state's field and samples, with R reset to sqrt(F1) (`restart_state`).  A block whose node storage
     (`block_bytes`) exceeds physical memory raises ConfigError before
     anything is predicted, naming the largest `block` that fits; the run is
     not re-blocked, because chaining changes results.  Avoid very deep chains
@@ -400,7 +410,7 @@ def sdc_solve(
     t_offset = 0.0
     for count in counts:
         if reports:  # a later block starts at the previous block's last node
-            state = init_state(state.phi, symbol, params, dealias=state.samples.factor > 1)
+            state = restart_state(state, params)
         t_b = T * count / float(n_t)
         grid_b = cheb_nodes(t_b, count)
         if count not in matrices:

@@ -59,13 +59,16 @@ def test_step_makes_two_transforms(bench_1d, rng, fft_count, dealias):
 @pytest.mark.parametrize("dealias", [False, True])
 def test_sdc_solve_transform_counts(bench_1d, rng, fft_count, dealias):
     # on M = 4 intervals: the predictor's 2M steps, then per sweep M + 1
-    # right-hand sides, 2(M - 1) in the sweep and 2M in its refreeze
+    # right-hand sides, 2(M - 1) in the sweep and 2M in its refreeze; a
+    # later block starts from the last state's samples, so 12 intervals in
+    # blocks of 4 cost three blocks' transforms and no more
     spec, grid, symbol, params = bench_1d
     state0 = init_state(random_field(grid, rng, scale=0.2), symbol, params, dealias=dealias)
     for sweeps, count in ((0, 8), (1, 27), (2, 46)):
-        before = fft_count.calls
-        sdc_solve(state0, 0.05, 4, symbol, params, sweeps=sweeps)
-        assert fft_count.calls - before == count
+        for n_t, block in ((4, 4096), (12, 4)):
+            before = fft_count.calls
+            sdc_solve(state0, 0.05, n_t, symbol, params, sweeps=sweeps, block=block)
+            assert fft_count.calls - before == count * n_t // 4
 
 
 def _assert_samples_match(fld, samples, dealias):

@@ -90,10 +90,10 @@ def _call_name(node):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_states_built_only_in_sav_cn(path):
-    # `init_state` and `_advance` alone establish that a state's samples and
-    # previous samples are the transforms of phi^n and phi^{n-1}; elsewhere a
-    # state is only re-timed with dataclasses.replace, and sav_cn.py must
-    # still be found building states
+    # `init_state`, `restart_state` and `_advance` alone establish that a
+    # state's samples and previous samples are the transforms of phi^n and
+    # phi^{n-1}; elsewhere a state is only re-timed with
+    # dataclasses.replace, and sav_cn.py must still be found building states
     from dataclasses import fields
 
     from ipfc.sav_cn import StepperState
@@ -111,3 +111,21 @@ def test_states_built_only_in_sav_cn(path):
         assert built
     else:
         assert built == []
+
+
+_HOT_PATHS = ("field.py", "model.py", "sav_cn.py", "sdc.py")
+
+
+@pytest.mark.parametrize("name", _HOT_PATHS)
+def test_no_in_place_division_in_hot_paths(name):
+    # a complex array divided in place by a positive real runs numpy's complex
+    # division loop; these modules multiply by the real reciprocal, which
+    # gives the same values (tests/test_kernels.py) at about half the cost
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+    lines = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Div)
+        or isinstance(n, ast.Call) and _call_name(n) in ("divide", "true_divide")
+        and any(k.arg == "out" for k in n.keywords)
+    ]
+    assert lines == []

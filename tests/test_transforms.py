@@ -25,10 +25,13 @@ assert not GRIDS[-1].all_live and not GRIDS[-2].all_live
 
 
 def _parent_to_spectral(p):
-    """`to_spectral` as it was: `np.fft.rfftn` into its own arrays, then
-    `enforce_hermitian` as it was, on a copy."""
+    """`to_spectral` by the n-d route: `np.fft.rfftn` into its own arrays,
+    scaled by the reciprocal of the sample count as `to_spectral` scales
+    (dividing by the count gives the same values, but can sign a zero
+    differently; see tests/test_kernels.py), then `enforce_hermitian` as it
+    was, on a copy."""
     half = np.fft.rfftn(p.values, axes=tuple(range(p.values.ndim)))
-    half /= p.values.size
+    half *= 1.0 / p.values.size
     if p.factor > 1:
         half = _extract_truncated(half, p.grid.sizes, p.factor)
     return _parent_enforce_hermitian(half, p.grid)

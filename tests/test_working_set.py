@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+import ipfc._kernels as kernels
 import ipfc.harness as harness
 import ipfc.sdc as sdc_mod
 from ipfc import (
@@ -47,16 +48,17 @@ from conftest import (
     sine_field,
 )
 
-# Field-size arrays correct() may hold beside its nodes x modes array and
-# the quadrature's column block: the correction, the error samples, the
-# bracket's samples (formed in spent arrays) and its transform, and the last
-# node's own field.  Measured: 3.2 on the 1-d grid below; the bound is that
-# count, three, plus one.
+# Field-size arrays correct() may hold beside its nodes x modes array, the
+# quadrature's column block and the blocked passes' scratch blocks: the
+# correction, the error samples, the bracket's samples (formed in spent
+# arrays) and its transform, and the last node's own field.  Measured: 2.9
+# on the 1-d grid below; the bound is that count, three, plus one.
 CORRECT_SCRATCH_FIELDS = 4
 # Field-size arrays one cn_step may hold beside the state it steps from and
-# the state it returns: the frozen ratio field u and the solve's diagonals
-# and scratch, or the inverse transform's working array once u is dropped.
-# Measured: 2.3 with and without dealiasing.
+# the state it returns, and beside its scratch blocks: the frozen ratio
+# field u and the solve's diagonal and scratch, or the inverse transform's
+# working array once u is dropped.  Measured: 2.3 with and without
+# dealiasing.
 STEP_SCRATCH_FIELDS = 3
 # Field-size arrays sample_real_space may hold beside one chunk's count
 # (`lattice._raster_term_bytes` per term): the terms' coefficients and
@@ -80,8 +82,10 @@ LOAD_SCRATCH_TABLES = 2
 def test_correct_peak_is_ws_plus_fixed_scratch(monkeypatch, n_t):
     # the corrected fields live in the rows of ws, so the sweep's peak does
     # not grow by a field per node beside it; the quadrature's column
-    # blocks are made narrow, as they are next to a large grid's rows
+    # blocks and the blocked passes' scratch blocks are made narrow, as they
+    # are next to a large grid's rows
     monkeypatch.setattr(sdc_mod, "QUAD_BLOCK", 256)
+    monkeypatch.setattr(kernels, "BLOCK", 256)
     spec, grid = grid_1d(2048)
     symbol = build_symbol(spec, grid, Q_BENCH)
     params = params_bench()
@@ -110,9 +114,12 @@ def test_correct_peak_is_ws_plus_fixed_scratch(monkeypatch, n_t):
 
 
 @pytest.mark.parametrize("dealias", [False, True])
-def test_cn_step_peak_is_its_states_plus_fixed_scratch(dealias):
+def test_cn_step_peak_is_its_states_plus_fixed_scratch(monkeypatch, dealias):
     # u is dropped before the new field's inverse transform, whose passes
-    # run in one working array; a dodecagonal grid has leading axes to pass
+    # run in one working array; a dodecagonal grid has leading axes to pass.
+    # The solve's scratch blocks are made narrow, as they are next to a
+    # large grid's fields.
+    monkeypatch.setattr(kernels, "BLOCK", 256)
     spec = ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4))
     grid = build_grid(spec, (12, 12, 12, 12))
     symbol = build_symbol(spec, grid, Q_BENCH)
