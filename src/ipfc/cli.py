@@ -74,8 +74,10 @@ def _cmd_render(args) -> int:
     cfg, base = _load_config(args.config)
     if cfg.render is None:
         raise ConfigError("missing required section [render]")
-    fld = _load_dump(cfg, args.dump)
-    img = render_field(fld, cfg.render.window, cfg.render.resolution, cfg.render.floor_rel)
+    # no reference to the loaded field here: render_field frees it before the raster
+    img = render_field(
+        _load_dump(cfg, args.dump), cfg.render.window, cfg.render.resolution, cfg.render.floor_rel
+    )
     path = _dump_output_path(cfg, base, args.dump, ".pgm")
     write_pgm(path, img)
     print(f"raster: {path}")

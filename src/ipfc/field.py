@@ -19,7 +19,6 @@ by the fold (`field_from_coeffs`, `field_from_listed`) and by
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -51,8 +50,6 @@ __all__ = [
 ]
 
 DUMP_THRESHOLD = 1e-14
-# Lines formatted per write: bounds the dump's text temporaries.
-DUMP_CHUNK_LINES = 8192
 # Refinement per axis of the dealiasing grid: products are exact truncated
 # convolutions through total degree PAD_FACTOR + 1, the cubic N'.
 PAD_FACTOR = 2
@@ -390,39 +387,21 @@ def apply_symbol(f: SpectralField, symbol: OperatorSymbol, power: int = 1) -> Sp
 def dump_field(f: SpectralField, fileobj) -> None:
     """Write the portable text dump: a header line then one
     "h1 .. hn re im" line per full-layout coefficient above the drop
-    threshold, in full-layout order.
+    threshold, in full-layout order, each part as ``'%.17g' %`` prints it.
 
-    The real part and the imaginary magnitude of each kept half-layout
-    value are formatted once.  A line's imaginary sign is that of the
-    stored value, flipped on lines past the half, which hold its conjugate;
-    a "-" before the magnitude's "%.17g" is exact for every finite value,
-    +-0 included.  Lines are built and written DUMP_CHUNK_LINES at a time,
-    integer tables (modes, the half position each line reads) included."""
+    numpy formats the values and assembles the lines (`_dumptext`): each
+    kept half-layout value's real part and imaginary magnitude once,
+    exactly, from a double-double scaling checked against a rounding tie;
+    values that check cannot settle, and non-finite ones, fall back to
+    Python's own formatting.  A line's imaginary sign is that of the stored
+    value, flipped on lines past the half, which hold its conjugate; a "-"
+    before the magnitude's text is exact for every value, +-0 included."""
+    from . import _dumptext  # on first use: runs that write no dump skip it
+
     grid = f.grid
-    n = len(grid.sizes)
     sizes = ",".join(str(s) for s in grid.sizes)
-    fileobj.write(f"ipfc-field v1 n={n} sizes={sizes}\n")
-    kept = np.abs(f.half) > DUMP_THRESHOLD
-    keep = np.flatnonzero(grid.unfold(kept))
-    formatted = np.flatnonzero(kept)
-    values = f.half.ravel()[formatted]
-    real, magnitude = (
-        np.array(("%.17g\n" * len(values) % tuple(part.tolist())).split("\n")[:-1], dtype=object)
-        for part in (values.real, np.abs(values.imag))
-    )
-    negative = np.signbit(values.imag)
-    line = "%d " * n + "%s %s%s\n"
-    for lo in range(0, len(keep), DUMP_CHUNK_LINES):
-        flat = keep[lo : lo + DUMP_CHUNK_LINES]
-        modes = grid.modes(flat)
-        # the half position each line reads: its own, or its mirror's past the half
-        mirror = flat % grid.sizes[-1] >= grid.half_sizes[-1]
-        src = np.where(mirror[:, None], -modes, modes) % np.array(grid.sizes)
-        r = np.searchsorted(formatted, np.ravel_multi_index(tuple(src.T), grid.half_sizes))
-        cols = [c.tolist() for c in modes.T]
-        cols += [real[r].tolist(), np.where(negative[r] != mirror, "-", "").tolist()]
-        cols.append(magnitude[r].tolist())
-        fileobj.write((line * len(r)) % tuple(itertools.chain.from_iterable(zip(*cols))))
+    fileobj.write(f"ipfc-field v1 n={len(grid.sizes)} sizes={sizes}\n")
+    _dumptext.write_lines(fileobj, grid, f.half, np.abs(f.half) > DUMP_THRESHOLD)
 
 
 def load_field(fileobj, grid: IndexGrid) -> SpectralField:

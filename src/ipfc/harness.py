@@ -32,7 +32,7 @@ from .field import (
     project_mean,
 )
 from .lattice import IndexGrid, OperatorSymbol, ProjectionSpec, build_grid, build_symbol
-from .lattice import kept_half_modes, raster_axes, sample_real_space
+from .lattice import _raster_terms, kept_half_modes, raster_axes, raster_of_terms
 from .model import ModelParams
 from .sav_cn import StepReport, StepperState, evolve, init_state, initial_report
 from .sdc import _sdc_blocks, sdc_solve
@@ -614,10 +614,12 @@ def spectrum_report(fld: SpectralField, threshold_rel: float):
     """
     grid = fld.grid
     _spectrum_rule(threshold_rel, grid.spec.d)
-    mx = float(np.abs(fld.half).max())
+    magnitude = np.abs(fld.half)
+    mx = float(magnitude.max())
     if mx <= 0.0:
         raise ValueError("empty spectrum: the field is identically zero")
-    pos, modes, coeffs, interior = kept_half_modes(fld, threshold_rel * mx)
+    pos, modes, coeffs, interior = kept_half_modes(fld, threshold_rel * mx, magnitude)
+    del magnitude
     # each interior mode's mirror holds conj(c), read off its own mode row
     modes = np.concatenate([modes, grid.modes_at(-pos[interior] % grid.sizes)])
     kv = modes @ grid.spec.projected_basis.T
@@ -648,11 +650,16 @@ def _render_rule(d: int, floor_rel: float) -> None:
 def render_field(fld: SpectralField, window, resolution, floor_rel: float = 1e-8) -> np.ndarray:
     """Grayscale raster of the field over the window: linear map of the
     sampled range onto 0..255, a degenerate range maps to uniform 128.
-    Modes at or below floor_rel times the largest amplitude are dropped."""
-    _render_rule(fld.grid.spec.d, floor_rel)
-    cmax = float(np.abs(fld.half).max())
-    floor = floor_rel * cmax
-    raster = sample_real_space(fld, window, resolution, amplitude_floor=floor)
+    Modes at or below floor_rel times the largest amplitude are dropped.
+    |c| is formed once, and the field is let go once the raster's terms
+    are taken: a caller that keeps no reference to it (the CLI's render)
+    rasters without it."""
+    d = fld.grid.spec.d
+    _render_rule(d, floor_rel)
+    magnitude = np.abs(fld.half)
+    coeffs, kv = _raster_terms(fld, floor_rel * float(magnitude.max()), magnitude)
+    del fld, magnitude
+    raster = raster_of_terms(coeffs, kv, d, window, resolution)
     lo = float(raster.min())
     hi = float(raster.max())
     if hi - lo <= 1e-12 * max(1.0, abs(hi), abs(lo)):

@@ -342,24 +342,28 @@ def raster_axes(d: int, window, resolution):
     return [(float(lo), float(hi)) for lo, hi in window.reshape(d, 2)], resolution
 
 
-def kept_half_modes(fld, floor: float):
+def kept_half_modes(fld, floor: float, magnitude=None):
     """The field's half-layout coefficients with |c| > floor: their
     positions (one row each), integer modes and values, and which of them
-    sit on an interior last-axis column, whose mirror the half leaves out."""
+    sit on an interior last-axis column, whose mirror the half leaves out.
+    `magnitude` is |c| of the half layout, for a caller that has it."""
     grid = fld.grid
     flat = fld.half.ravel()
-    keep = np.flatnonzero(np.abs(flat) > floor)
+    if magnitude is None:
+        magnitude = np.abs(flat)
+    keep = np.flatnonzero(magnitude.ravel() > floor)
     pos = np.stack(np.unravel_index(keep, grid.half_sizes), axis=-1)
     interior = (pos[:, -1] > 0) & (pos[:, -1] < grid.half_sizes[-1] - 1)
     return pos, grid.modes_at(pos), flat[keep], interior
 
 
-def _raster_terms(fld, floor: float):
+def _raster_terms(fld, floor: float, magnitude=None):
     """Coefficients and projected wavevectors of the raster's terms, one
     per conjugate pair of the modes with |c| > floor (see
-    `sample_real_space`); the tables they are built from are dropped."""
+    `sample_real_space`); the tables they are built from are dropped.
+    `magnitude` as in `kept_half_modes`."""
     grid = fld.grid
-    pos, modes, coeffs, interior = kept_half_modes(fld, floor)
+    pos, modes, coeffs, interior = kept_half_modes(fld, floor, magnitude)
     inexact = interior & (pos[:, :-1] == np.array(grid.sizes[:-1]) // 2).any(axis=1)
     doubled = np.where(interior & ~inexact, 2.0 * coeffs, coeffs)
     coeffs = np.concatenate([doubled, np.conj(coeffs[inexact])])
@@ -423,12 +427,17 @@ def sample_real_space(fld, window, resolution, amplitude_floor: float = 0.0) -> 
     raster[i0, i1, ...] samples axis j at the inclusive linspace of
     window[j].
     """
-    grid = fld.grid
     if amplitude_floor < 0:
         raise ValueError("amplitude_floor must be >= 0")
-    window, resolution = raster_axes(grid.spec.d, window, resolution)
-
     coeffs, kv = _raster_terms(fld, amplitude_floor)
+    return raster_of_terms(coeffs, kv, fld.grid.spec.d, window, resolution)
+
+
+def raster_of_terms(coeffs, kv, d: int, window, resolution) -> np.ndarray:
+    """The raster of `sample_real_space` from its terms (`_raster_terms`)
+    alone: a caller that takes the terms itself can free the field before
+    the first chunk."""
+    window, resolution = raster_axes(d, window, resolution)
     if not len(coeffs):
         return np.zeros(resolution)
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(window, resolution)]

@@ -266,10 +266,12 @@ def test_dump_round_trip_bit_exact(rng, dodecagonal_small):
 
 
 def test_dump_field_peak_memory_is_bounded():
-    # a 24^4 dump of 55,000 lines, as cn_ddqc24 writes: the per-line integer
-    # tables (modes, the half positions read, mirror flags) are built one
-    # chunk of lines at a time; built for every line at once they took the
-    # peak to 11.3 MiB.  Most of what is left is the formatted values.
+    # a 24^4 dump of 55,000 lines, as cn_ddqc24 writes: each kept value's
+    # text is one 44-byte row, and the per-line tables and the lines'
+    # records are built one chunk of lines at a time.  Measured: 6.01 MiB
+    # with the formatter's first import inside the call, 5.90 MiB without;
+    # 7.81 MiB when the texts were Python strings, 11.3 MiB when the line
+    # tables were built for every line at once.
     spec = ProjectionSpec(d=2, n=4, P=dodecagonal_projection(), B=np.eye(4))
     grid = build_grid(spec, (24, 24, 24, 24))
     rng = np.random.default_rng(0)
@@ -285,7 +287,7 @@ def test_dump_field_peak_memory_is_bounded():
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-    assert peak <= 9 << 20
+    assert peak <= 25 << 18
 
 
 def test_dump_drops_tiny_coefficients():

@@ -2,6 +2,9 @@
 broken."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +132,16 @@ def test_no_in_place_division_in_hot_paths(name):
         and any(k.arg == "out" for k in n.keywords)
     ]
     assert lines == []
+
+
+def test_cli_import_leaves_out_lazy_and_heavy_modules():
+    # `import ipfc.cli` is every run's start-up: `fractions` pulls in
+    # `decimal` (2.4 ms), and the dump formatter is imported by the first
+    # dump_field call, so a run that writes no dump never compiles it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC.parent) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = "import sys, ipfc.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "ipfc.cli" in loaded
+    assert loaded.isdisjoint({"fractions", "decimal", "ipfc._dumptext"})

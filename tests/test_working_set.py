@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ipfc._kernels as kernels
+import ipfc.cli as cli
 import ipfc.harness as harness
 import ipfc.sdc as sdc_mod
 from ipfc import (
@@ -33,7 +34,7 @@ from ipfc import (
     sdc_solve,
 )
 from ipfc.errors import ConfigError
-from ipfc.harness import dodecagonal_projection, parse_config, run_evolution
+from ipfc.harness import dodecagonal_projection, parse_config, render_field, run_evolution
 from ipfc.sdc import _quadratures_in_place, _refreeze
 
 from test_cli import CONFIG
@@ -190,6 +191,70 @@ def test_load_peak_is_the_field_plus_its_table_and_scratch():
     fld, peak = _traced_peak(load_field, io.StringIO(text), grid)
     table = lines * (8 * len(grid.sizes) + 16)
     assert peak - fld.half.nbytes <= LOAD_SCRATCH_TABLES * table
+
+
+def _render_files(tmp_path, fraction):
+    """A render config on the 12^4 dodecagonal grid and the dump of a field
+    with random coefficients on about `fraction` of its modes."""
+    P = " ; ".join(" ".join(repr(float(v)) for v in row) for row in dodecagonal_projection())
+    text = (
+        f"[projection]\nd = 2\nn = 4\nP = {P}\nB = identity\nsizes = 12 12 12 12\n"
+        "\n[model]\nq = 1.0 1.9318516525781366\neps = -2.0\nalpha = 2.0\n"
+        "\n[render]\nwindow = 0.0 20.0 0.0 10.0\nresolution = 96 64\nfloor_rel = 0.0\n"
+    )
+    cfg = tmp_path / "render.cfg"
+    cfg.write_text(text)
+    grid = parse_config(text).build_grid()
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
+    c *= rng.random(grid.sizes) < fraction
+    dump = tmp_path / "state.field"
+    with open(dump, "w", encoding="utf-8") as fh:
+        dump_field(field_from_coeffs(grid, c), fh)
+    return str(cfg), str(dump), parse_config(text)
+
+
+def test_render_frees_the_loaded_field_before_the_raster(tmp_path, monkeypatch):
+    # the CLI keeps no reference to the loaded field, and render_field lets
+    # it go once the raster's terms are taken: no chunk sees it alive
+    cfg, dump, _ = _render_files(tmp_path, 0.05)
+    loaded = []
+    real_load = cli.load_field
+
+    def load(fh, grid):
+        fld = real_load(fh, grid)
+        loaded.extend([weakref.ref(fld), weakref.ref(fld.half)])
+        return fld
+
+    alive = []
+    real_kernel = lattice.bohr_fourier_sum
+
+    def kernel(*args):
+        alive.append(any(ref() is not None for ref in loaded))
+        return real_kernel(*args)
+
+    monkeypatch.setattr(cli, "load_field", load)
+    monkeypatch.setattr(lattice, "bohr_fourier_sum", kernel)
+    monkeypatch.setattr(lattice, "RASTER_CHUNK_BYTES", 200 * lattice._raster_term_bytes((96, 64)))
+    assert cli.main(["render", cfg, dump]) == 0
+    assert len(loaded) == 2 and len(alive) > 1 and not any(alive)
+
+
+def test_render_peak_is_its_larger_phase(tmp_path):
+    # loading the dump and rastering it do not overlap: the CLI's render
+    # peaks at the larger of the two, not at the raster plus the field
+    # (half the field's bytes allows for the config and the arguments, which
+    # take 38 kB of it; the raster holding the field takes 1.7 field sizes)
+    cfg, dump, config = _render_files(tmp_path, 0.01)
+    fld, load_peak = _traced_peak(cli._load_dump, config, dump)
+    render = config.render
+    _, raster_peak = _traced_peak(render_field, fld, render.window, render.resolution, render.floor_rel)
+    field_bytes = fld.half.nbytes
+    del fld
+    code, peak = _traced_peak(cli.main, ["render", cfg, dump])
+    assert code == 0
+    assert raster_peak > load_peak
+    assert peak <= max(load_peak, raster_peak) + field_bytes // 2
 
 
 def test_evolution_frees_the_initial_field_after_step_one(tmp_path, monkeypatch):
