@@ -16,7 +16,8 @@
   k + 1.
 * The 17 digits of D are laid out as %g does: fixed notation for
   -4 <= k < 17, exponent notation otherwise, trailing zeros and a bare
-  point stripped; zeros print as "0" and "-0".
+  point stripped; zeros print as "0" and "-0".  The point is inserted by
+  moving the digits after it one slot on.
 
 Everything else (non-finite values, |x| outside those bounds, values near
 a tie) falls back to ``'%.17g' %`` one value at a time.  A text sits in a
@@ -73,25 +74,23 @@ def _powers() -> np.ndarray:
 
 _POWERS = _powers()
 
-# A text's layout: sign, "0.000", d0 . d1 . ... . d16, "e+ddd".  Each digit
-# has its own point slot, so one layout serves every exponent.
-WIDTH = 44
-_DIGITS = slice(6, 39, 2)
+# A text's layout: sign, "0.000", 18 slots that hold the 17 digits and the
+# point among them, "e+ddd".  Digits after the point move one slot on.
+WIDTH = 29
+_REGION = slice(6, 24)
+_NO_POINT = 18
 _K_MIN = 16 - P_MAX
 
 
 def _layouts() -> np.ndarray:
-    """Row k - _K_MIN: the prefix, point and exponent of a text whose first
-    digit has exponent k, without its sign and digits."""
+    """Row k - _K_MIN: the prefix and exponent of a text whose first digit
+    has exponent k, without its sign, digits and point."""
     rows = []
     for k in range(_K_MIN, 17 - P_MIN):
         row = bytearray(WIDTH)
-        fixed = -4 <= k <= 16
-        if fixed and k < 0:
+        if -4 <= k < 0:
             row[1 : 2 - k] = b"0.000"[: 1 - k]
-        elif k != 16:
-            row[7 + 2 * k if fixed else 7] = ord(".")
-        if not fixed:
+        elif not -4 <= k <= 16:
             text = b"e%+03d" % k
             row[WIDTH - len(text) :] = text
         rows.append(bytes(row))
@@ -101,7 +100,25 @@ def _layouts() -> np.ndarray:
 _LAYOUTS = _layouts()
 # the four digit characters of 0 .. 9999, one 4-byte item each
 _QUADS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view(np.uint32)[:, 0]
-_KEEP = np.tril(np.full((17, 17), 255, np.uint8))  # row i keeps digits 0 .. i
+# Digits are formed in rows of 24 columns, digit i in column 3 + i and the
+# rest 0, so that the masks below act on whole 8-byte words.  Column 3 + s
+# is slot s of the layout's digit slots, once the point is in.
+_COLUMN_SLOT = np.arange(24) - 3
+
+
+def _words(mask: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(mask, dtype=np.uint8).view(np.uint64)
+
+
+# row i keeps digits 0 .. i
+_KEEP = _words(np.where((_COLUMN_SLOT >= 0) & (_COLUMN_SLOT <= np.arange(17)[:, None]), 255, 0))
+# row q, the point's slot (_NO_POINT: no point): the digits before it stay,
+# those after it come from the row moved one column on, and a "." fills it
+_q = np.arange(_NO_POINT + 1)[:, None]
+_BEFORE = _words(np.where((_COLUMN_SLOT >= 0) & (_COLUMN_SLOT < _q), 255, 0))
+_AFTER = _words(np.where((_COLUMN_SLOT > _q) & (_COLUMN_SLOT < 18), 255, 0))
+_POINT = _words(np.where(_COLUMN_SLOT == _q, 46, 0))
+del _q
 
 
 def _scaled(a: np.ndarray, k: np.ndarray):
@@ -160,26 +177,33 @@ def _g17_block(x: np.ndarray, out: np.ndarray) -> None:
     # the 17 digit characters: d0 alone, then four groups of four from a table
     hi = (d // 10**8).astype(np.int32)  # digits 0 .. 8
     lo = (d - hi * np.int64(10**8)).astype(np.int32)  # digits 9 .. 16
-    chars = np.empty((len(x), 20), np.uint8)
+    chars = np.zeros((len(x), 24), np.uint8)
     chars[:, 3] = hi // 10**8 + 48
-    quads = chars[:, 4:].view(np.uint32)
+    quads = chars[:, 4:20].view(np.uint32)
     hi %= 10**8
     for j, v in enumerate((hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4)):
         quads[:, j] = np.take(_QUADS, v)
-    digits = chars[:, 3:]
+    words = chars.view(np.uint64)
 
     # trailing zeros go, but not the integer digits of fixed notation
-    last = 16 - np.argmax(digits[:, ::-1] != 48, axis=1)
+    last = 16 - np.argmax(chars[:, 19:2:-1] != 48, axis=1)
     last[zero] = 0
     fixed = (k >= -4) & (k <= 16)
-    digits &= np.take(_KEEP, np.where(fixed, np.maximum(last, k), last), axis=0)
-    np.take(_LAYOUTS, k - _K_MIN, axis=0, out=out)
-    out[:, _DIGITS] = digits
-    # a point with no digit after it goes too; fixed notation below 1 has
-    # its point in the prefix, and at k = 16 none
+    words &= np.take(_KEEP, np.where(fixed, np.maximum(last, k), last), axis=0)
+    # the point goes after digit `point` if a digit follows it; fixed
+    # notation below 1 has its point in the prefix, and at k = 16 none
     point = np.where(fixed, k, 0)
-    bare = np.flatnonzero((last <= point) & ~(fixed & ((k < 0) | (k == 16))))
-    out[bare, 7 + 2 * point[bare]] = 0
+    has_point = (last > point) & ~(fixed & ((k < 0) | (k == 16)))
+    q = np.where(has_point, point + 1, _NO_POINT)
+    moved = np.empty_like(chars)
+    moved.reshape(-1)[1:] = chars.reshape(-1)[:-1]
+    moved = moved.view(np.uint64)
+    moved &= np.take(_AFTER, q, axis=0)
+    words &= np.take(_BEFORE, q, axis=0)
+    words |= moved
+    words |= np.take(_POINT, q, axis=0)
+    np.take(_LAYOUTS, k - _K_MIN, axis=0, out=out)
+    out[:, _REGION] = chars[:, 3:21]
     out[:, 0] = np.signbit(x) * np.uint8(45)
     _fall_back(x, np.flatnonzero(~fast & ~zero), out)
 

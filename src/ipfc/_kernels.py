@@ -10,10 +10,13 @@ the values are bitwise those of whole-array passes."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "blocks",
+    "leading",
     "poly_eval",
     "poly_increment",
     "extrapolate",
@@ -32,6 +35,13 @@ def blocks(size: int, itemsize: int = 8):
     `itemsize` bytes as BLOCK float64 values take (BLOCK / 2 complex)."""
     step = max(1, BLOCK * 8 // itemsize)
     return (slice(lo, lo + step) for lo in range(0, size, step))
+
+
+def leading(buf: np.ndarray, shape, dtype=np.float64) -> np.ndarray:
+    """The first elements of the C-contiguous buffer `buf`, read as `dtype`
+    and viewed in `shape`: how the stepper's work buffers take each of
+    their temporaries in turn."""
+    return buf.reshape(-1).view(dtype)[: math.prod(shape)].reshape(shape)
 
 
 def _dense(terms) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import hermitian_pair_mean, mirrored, poly_eval
+from ._kernels import hermitian_pair_mean, leading, mirrored, poly_eval
 from .errors import GridMismatchError
 from .lattice import IndexGrid, OperatorSymbol
 
@@ -248,37 +248,43 @@ def norm_ap(f: SpectralField) -> float:
     return float(np.sqrt(max(_coeff_inner(f.half, f.half), 0.0)))
 
 
-def to_physical(f: SpectralField, dealias: bool = False, consume: bool = False) -> PhysicalField:
+def to_physical(
+    f: SpectralField, dealias: bool = False, consume: bool = False, work=None
+) -> PhysicalField:
     """Inverse real-data transform to collocation values, on the grid
     refined by PAD_FACTOR when `dealias` is set.
 
     The passes of `np.fft.irfftn` run one by one: complex inverse passes
     over the leading axes, in place on one working array, then a real
     inverse pass over the last axis into the samples.  The working array
-    is a copy of f's coefficients, or with `consume` the coefficients
-    themselves, which it may overwrite: for callers done with f.  On the
-    refined grid it is the padded array either way."""
+    is new, or the leading elements of the complex buffer `work`, or with
+    `consume` the coefficients themselves, which it may overwrite: for
+    callers done with f.  On the refined grid it is the padded array, in
+    `work` when given."""
+    factor = PAD_FACTOR if dealias else 1
     if dealias:
-        work, factor = _embed_padded(f.half, f.grid.sizes, PAD_FACTOR), PAD_FACTOR
-        out = work
+        src = out = _embed_padded(f.half, f.grid.sizes, factor, work)
+    elif consume:
+        src = out = f.half
     else:
-        work, factor = f.half, 1
-        out = work if consume else None
+        src, out = f.half, None if work is None else leading(work, f.half.shape, np.complex128)
     sizes = tuple(factor * nj for nj in f.grid.sizes)
     for ax in range(len(sizes) - 1):
-        work = out = np.fft.ifft(work, axis=ax, out=out)
-    vals = np.fft.irfft(work, n=sizes[-1], axis=-1)
+        src = out = np.fft.ifft(src, axis=ax, out=out)
+    vals = np.fft.irfft(src, n=sizes[-1], axis=-1)
     vals *= vals.size
     return PhysicalField(f.grid, vals, factor)
 
 
-def to_spectral(p: PhysicalField) -> SpectralField:
+def to_spectral(p: PhysicalField, out=None) -> SpectralField:
     """Forward real-data transform of collocation values to coefficients,
     truncated to the grid's modes from a refined grid, then symmetrized.
-    The transform's passes all write into one new array, which is
-    symmetrized in place."""
+    The transform's passes all write into one array, new or the leading
+    elements of the complex buffer `out`, which is symmetrized in place
+    (on a refined grid the truncation copies the grid's modes out of it)."""
     v = p.values
-    half = np.empty(v.shape[:-1] + (v.shape[-1] // 2 + 1,), dtype=np.complex128)
+    shape = v.shape[:-1] + (v.shape[-1] // 2 + 1,)
+    half = np.empty(shape, dtype=np.complex128) if out is None else leading(out, shape, np.complex128)
     np.fft.rfftn(v, axes=tuple(range(v.ndim)), out=half)
     half *= 1.0 / v.size
     if p.factor > 1:
@@ -295,14 +301,20 @@ def _padded_positions(nj: int, factor: int) -> np.ndarray:
     return np.where(ar < nj // 2, ar, ar + (factor - 1) * nj)
 
 
-def _embed_padded(half: np.ndarray, sizes, factor: int) -> np.ndarray:
+def _embed_padded(half: np.ndarray, sizes, factor: int, out=None) -> np.ndarray:
     """Zero-pad each axis by `factor`, in the half layout, splitting the
     self-paired extreme planes across +/- N/2 so the padded array stays
     conjugate-symmetric.  On the last axis the -N/2 half of the split is the
-    mirror of the +N/2 half, which is all the padded half stores."""
+    mirror of the +N/2 half, which is all the padded half stores.  The
+    padded array is new, or the leading elements of the complex buffer
+    `out`."""
     lead, n = sizes[:-1], sizes[-1]
     shape = tuple(factor * nj for nj in lead) + (factor * n // 2 + 1,)
-    big = np.zeros(shape, dtype=np.complex128)
+    if out is None:
+        big = np.zeros(shape, dtype=np.complex128)
+    else:
+        big = leading(out, shape, np.complex128)
+        big.fill(0)
     idx = [_padded_positions(nj, factor) for nj in lead]
     big[np.ix_(*idx, np.arange(n // 2 + 1))] = half
     big[..., n // 2] *= 0.5  # mode -N/2 moves to +N/2
@@ -346,9 +358,11 @@ def _validate_terms(terms):
     return terms
 
 
-def poly_samples(p: PhysicalField, terms) -> PhysicalField:
-    """Pointwise polynomial of samples; `terms` as in `pointwise_poly`."""
-    return PhysicalField(p.grid, poly_eval(p.values, terms), p.factor)
+def poly_samples(p: PhysicalField, terms, out=None) -> PhysicalField:
+    """Pointwise polynomial of samples, `terms` as in `pointwise_poly`, in
+    a new array or the leading elements of the buffer `out`."""
+    vals = None if out is None else leading(out, p.values.shape)
+    return PhysicalField(p.grid, poly_eval(p.values, terms, vals), p.factor)
 
 
 def pointwise_poly(f: SpectralField, terms, dealias: bool = False) -> SpectralField:
@@ -363,10 +377,11 @@ def pointwise_poly(f: SpectralField, terms, dealias: bool = False) -> SpectralFi
     return to_spectral(poly_samples(to_physical(f, dealias), terms))
 
 
-def pointwise_poly_mean(p: PhysicalField, terms) -> float:
+def pointwise_poly_mean(p: PhysicalField, terms, out=None) -> float:
     """Spatial mean of a pointwise polynomial of the field sampled by p (on
-    either grid); `terms` as in `pointwise_poly`."""
-    return float(poly_eval(p.values, _validate_terms(terms)).mean())
+    either grid); `terms` as in `pointwise_poly`.  The polynomial's samples
+    go to a new array or the leading elements of the buffer `out`."""
+    return float(poly_samples(p, _validate_terms(terms), out).values.mean())
 
 
 # -- diagonal operators --------------------------------------------------------

@@ -64,15 +64,19 @@ def _bulk_terms(params: ModelParams):
     return ((2, 0.5 * params.eps), (3, -params.alpha / 3.0), (4, 0.25))
 
 
-def nprime(p: PhysicalField, params: ModelParams) -> SpectralField:
+def nprime(p: PhysicalField, params: ModelParams, out=None, work=None) -> SpectralField:
     """Derivative of the bulk density, eps*phi - alpha*phi^2 + phi^3, of the
-    field sampled by p (on either grid): one forward transform."""
-    return to_spectral(poly_samples(p, _nprime_terms(params)))
+    field sampled by p (on either grid): one forward transform.  Its samples
+    go to the buffer `work` and its transform to the buffer `out` when
+    given (see `to_spectral`); `out` may hold p's samples, which the
+    transform overwrites."""
+    return to_spectral(poly_samples(p, _nprime_terms(params), work), out)
 
 
-def bulk_mean(p: PhysicalField, params: ModelParams) -> float:
-    """Spatial mean of the bulk density (no shift) of the field sampled by p."""
-    return pointwise_poly_mean(p, _bulk_terms(params))
+def bulk_mean(p: PhysicalField, params: ModelParams, out=None) -> float:
+    """Spatial mean of the bulk density (no shift) of the field sampled by
+    p, whose samples go to the buffer `out` when given."""
+    return pointwise_poly_mean(p, _bulk_terms(params), out)
 
 
 def _shifted_bulk(nu: float, params: ModelParams) -> float:
@@ -102,22 +106,24 @@ def variational_derivative(
     return apply_symbol(f, symbol, power=2) + nprime(to_physical(f), params)
 
 
-def nprime_increment(fbar: PhysicalField, ebar: PhysicalField, params: ModelParams) -> SpectralField:
-    """N'(fbar + ebar) - N'(fbar) of the fields sampled by fbar and ebar,
-    formed pointwise: one forward transform.  Consumes both sample arrays,
-    which hold the sum and the increment."""
+def nprime_increment(fbar: PhysicalField, ebar: PhysicalField, params: ModelParams) -> PhysicalField:
+    """Samples of N'(fbar + ebar) - N'(fbar) of the fields sampled by fbar
+    and ebar, formed pointwise.  Consumes both sample arrays: fbar's holds
+    the increment, which is returned, and ebar's the spent sum, which
+    callers drop before they transform the increment."""
     inc = poly_increment(fbar.values, ebar.values, _nprime_terms(params))
-    return to_spectral(PhysicalField(fbar.grid, inc, fbar.factor))
+    return PhysicalField(fbar.grid, inc, fbar.factor)
 
 
-def sav_ingredients(fbar, params: ModelParams):
+def sav_ingredients(fbar, params: ModelParams, out=None, work=None):
     """The auxiliary-variable ratio field u = N'(fbar)/sqrt(F1(fbar)) together
     with sqrt(F1(fbar)).  fbar is a SpectralField, sampled on the embedding
     grid, or its samples (a PhysicalField, on either grid), which saves the
-    inverse transform."""
+    inverse transform.  The buffers `out` and `work` serve as in `nprime`;
+    `work` first takes the samples of the bulk density."""
     p = fbar if isinstance(fbar, PhysicalField) else to_physical(fbar)
-    sqrt_f1 = float(np.sqrt(_shifted_bulk(bulk_mean(p, params), params)))
-    u = nprime(p, params)
+    sqrt_f1 = float(np.sqrt(_shifted_bulk(bulk_mean(p, params, work), params)))
+    u = nprime(p, params, out, work)
     u.half *= 1.0 / sqrt_f1
     return u, sqrt_f1
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import blocks, extrapolate
+from ._kernels import blocks, extrapolate, leading
 from .errors import NumericalError
 from .field import (
     PhysicalField,
@@ -135,13 +135,14 @@ def initial_report(state: StepperState, symbol: OperatorSymbol, params: ModelPar
 
 def _node_report(
     phi: SpectralField, w_norm_sq: float, tau: float, r_dev: float,
-    nu: float, symbol: OperatorSymbol, params: ModelParams,
+    nu: float, symbol: OperatorSymbol, params: ModelParams, work=None,
 ) -> StepReport:
     """Energy row of node field phi, reached over a step tau with squared
     rate norm w_norm_sq (both 0 at the initial node), with auxiliary
-    deviation r_dev and bulk mean nu."""
+    deviation r_dev and bulk mean nu.  g phi goes to a new array or the
+    buffer `work`."""
     sqrt_c1 = math.sqrt(params.c1)
-    gc = symbol.g_half * phi.half
+    gc = np.multiply(symbol.g_half, phi.half, out=_half_view(work, phi.half))
     grad = 0.5 * _coeff_inner(gc, gc)
     return StepReport(
         modified_energy=grad + r_dev * (2.0 * sqrt_c1 + r_dev),
@@ -152,43 +153,71 @@ def _node_report(
     )
 
 
-def _frozen_ratio(state: StepperState, params: ModelParams):
+def _half_view(work, half: np.ndarray):
+    """A half-layout array shaped like `half` in the buffer `work`, or None
+    (a new array) without one."""
+    return None if work is None else leading(work, half.shape, np.complex128)
+
+
+def _work_buffer(state: StepperState) -> np.ndarray:
+    """A work buffer for a step from `state`: complex, as large as the half
+    layout of the grid its samples are on, so that it holds any of the
+    step's samples or half-layout temporaries."""
+    shape = state.samples.values.shape
+    return np.empty(math.prod(shape[:-1]) * (shape[-1] // 2 + 1), dtype=np.complex128)
+
+
+def _work_buffers(state: StepperState):
+    """The two work buffers A and B of a step from `state`."""
+    return _work_buffer(state), _work_buffer(state)
+
+
+def _frozen_ratio(state: StepperState, params: ModelParams, a=None, b=None):
     """The mean-free ratio field u and sqrt(F1) at the state's extrapolant,
     whose samples are combined from the carried ones: one forward transform.
+    The extrapolant's samples and then u take the work buffer a (on a
+    refined grid u is truncated out of it into a new array); the samples of
+    the bulk density and of N' take b.  Without buffers it takes its own.
     Returns (u coefficients, sqrt_f1)."""
+    if a is None:
+        a, b = _work_buffers(state)
     v = state.samples
     if state.prev_samples is None:
         vbar = v
     else:
-        vbar = PhysicalField(v.grid, extrapolate(v.values, state.prev_samples.values), v.factor)
-    u, sqrt_f1 = sav_ingredients(vbar, params)
+        vbar_values = extrapolate(v.values, state.prev_samples.values, out=leading(a, v.values.shape))
+        vbar = PhysicalField(v.grid, vbar_values, v.factor)
+    u, sqrt_f1 = sav_ingredients(vbar, params, out=a, work=b)
     u.half.ravel()[u.grid.zero_index] = 0.0  # mass constraint: u acts in the mean-zero space
     return u.half, sqrt_f1
 
 
-def _increments(state: StepperState, u_c: np.ndarray, phi_new: SpectralField, tau: float):
+def _increments(state: StepperState, u_c: np.ndarray, phi_new: SpectralField, tau: float, work):
     """The increment 1/2 <phi_new - phi, u> of R over a step tau from
     `state` to phi_new with the ratio field u frozen, and the step's squared
     rate norm ||(phi_new - phi) / tau||^2.  Taken on the stored fields, so
-    an SDC refreeze of the node fields reproduces them exactly."""
-    diff = phi_new.half - state.phi.half
+    an SDC refreeze of the node fields reproduces them exactly; the
+    difference goes to the buffer `work`."""
+    diff = np.subtract(phi_new.half, state.phi.half, out=_half_view(work, phi_new.half))
     return 0.5 * _coeff_inner(diff, u_c), _coeff_inner(diff, diff) / (tau * tau)
 
 
 def _advance(
     state: StepperState, r_inc: float, w_norm_sq: float, sqrt_f1: float,
-    phi_new: SpectralField, tau: float, symbol: OperatorSymbol, params: ModelParams,
+    phi_new: SpectralField, tau: float, symbol: OperatorSymbol, params: ModelParams, work,
 ):
     """The state and energy row at phi_new, reached from `state` over a step
     tau with the `_increments` r_inc and w_norm_sq.  phi_new is sampled
     once, on the grid of the state's samples; callers drop u before this
-    inverse transform.
+    inverse transform.  The buffer `work` takes the transform's working
+    array, then the samples of the bulk density, then g phi_new: the new
+    field and its samples are the only arrays a node adds.
 
     Every step and every SDC node passes here, so this is where a
     non-finite node raises NumericalError, naming the node time and the
     quantities that are not finite.  A non-finite field reaches the energy
     row through its bulk mean."""
-    v_new = to_physical(phi_new, state.samples.factor > 1)
+    v_new = to_physical(phi_new, state.samples.factor > 1, work=work)
     new_state = StepperState(
         phi=phi_new,
         r_dev=state.r_dev + r_inc,
@@ -197,9 +226,8 @@ def _advance(
         prev_samples=state.samples,
         sqrt_f1=sqrt_f1,
     )
-    report = _node_report(
-        phi_new, w_norm_sq, tau, new_state.r_dev, bulk_mean(v_new, params), symbol, params
-    )
+    nu = bulk_mean(v_new, params, work)
+    report = _node_report(phi_new, w_norm_sq, tau, new_state.r_dev, nu, symbol, params, work)
     checks = dict(sqrt_f1=sqrt_f1, r_dev=new_state.r_dev,
                   original_energy=report.original_energy, w_norm_sq=report.w_norm_sq)
     bad = ", ".join(f"{k} = {v!r}" for k, v in checks.items() if not math.isfinite(v))
@@ -208,57 +236,78 @@ def _advance(
     return new_state, report
 
 
-def _resolvent_terms(phi_c, u_c, g2, tau: float, k: float):
-    """The solve's terms, block by block: inv = 1 / (1 + tau/2 g2),
-    c = (1 - tau/2 g2) phi + k u and u * inv.  Dividing by the real
-    resolvent is multiplying by inv: numpy divides by d + 0j as
-    (re + im * 0) * (1/d), the same values.  Returns (inv, c, u * inv)."""
-    inv = np.empty(u_c.shape)
-    c, u_inv = np.empty_like(u_c), np.empty_like(u_c)
-    flat = [x.reshape(-1) for x in (inv, c, u_inv, phi_c, u_c, g2)]
+def _resolvent_inverse(g2: np.ndarray, tau: float) -> np.ndarray:
+    """1 / (1 + tau/2 g2) of one block of g2, in a new block: the solve and
+    the SDC sweep form it in cache at each use rather than hold it."""
+    inv = np.multiply(0.5 * tau, g2)
+    np.add(1.0, inv, out=inv)
+    return np.reciprocal(inv, out=inv)
+
+
+def _resolvent_terms(phi_c, u_c, g2, tau: float, k: float, u_inv):
+    """The solve's first terms, block by block, with inv = 1 / (1 + tau/2 g2):
+    c = (1 - tau/2 g2) phi + k u, a new array, and u * inv, into u_inv.
+    Dividing by the real resolvent is multiplying by inv: numpy divides by
+    d + 0j as (re + im * 0) * (1/d), the same values.  Returns c."""
+    c = np.empty_like(u_c)
+    flat = [x.reshape(-1) for x in (c, u_inv, phi_c, u_c, g2)]
     for b in blocks(c.size, c.itemsize):
-        inv_b, c_b, u_inv_b, phi_b, u_b, g2_b = (x[b] for x in flat)
+        c_b, u_inv_b, phi_b, u_b, g2_b = (x[b] for x in flat)
         half_g2 = (0.5 * tau) * g2_b
-        np.reciprocal(np.add(1.0, half_g2, out=inv_b), out=inv_b)
         np.multiply(phi_b, np.subtract(1.0, half_g2, out=half_g2), out=c_b)
         c_b += k * u_b
-        np.multiply(u_b, inv_b, out=u_inv_b)
-    return inv, c, u_inv
+        np.multiply(u_b, _resolvent_inverse(g2_b, tau), out=u_inv_b)
+    return c
+
+
+def _times_inverse(x, g2, tau: float, out, k: float = 0.0, u=None):
+    """(x - k u) * inv block by block, into out (which may be x), with inv
+    = 1 / (1 + tau/2 g2); without u, x * inv."""
+    flat = [a.reshape(-1) for a in (x, out, g2)]
+    u_flat = None if u is None else u.reshape(-1)
+    for b in blocks(out.size, out.itemsize):
+        x_b, out_b, g2_b = (a[b] for a in flat)
+        if u_flat is not None:
+            x_b -= k * u_flat[b]
+        np.multiply(x_b, _resolvent_inverse(g2_b, tau), out=out_b)
+    return out
 
 
 def cn_step(state: StepperState, tau: float, symbol: OperatorSymbol, params: ModelParams):
-    """Advance one step of size tau; returns (new_state, report)."""
+    """Advance one step of size tau; returns (new_state, report).
+
+    Beside the new field and its samples, which it returns, the step works
+    in two buffers of the half layout's size (see `_work_buffers`): A holds
+    the extrapolant's samples, then u; B the samples of the bulk density
+    and of N', u * inv, c * inv, phi^{n+1} - phi^n, the inverse transform's
+    working array, the new samples' bulk density and g phi^{n+1}.  A and its
+    views go before the inverse transform."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     grid = state.phi.grid
-    u_c, sqrt_f1 = _frozen_ratio(state, params)
+    a, b = _work_buffers(state)
+    u_c, sqrt_f1 = _frozen_ratio(state, params, a, b)
 
     phi_c = state.phi.half
     u_phi = _coeff_inner(u_c, phi_c)
 
     # (I + tau/2 G^2) phi^{n+1} = c - tau/4 s u, with both diagonals real.
-    # The solve holds u, inv, c and one scratch, and its elementwise passes
-    # run block by block, in cache.
+    # The diagonal 1 / (1 + tau/2 G^2) is formed block by block, in cache,
+    # at each use.
     k = 0.25 * tau * u_phi - tau * (math.sqrt(params.c1) + state.r_dev)
-    inv, c, scratch = _resolvent_terms(phi_c, u_c, symbol.g2_half, tau, k)
+    scratch = _half_view(b, phi_c)
+    c = _resolvent_terms(phi_c, u_c, symbol.g2_half, tau, k, scratch)
     gamma = _coeff_inner(scratch, u_c)
-    np.multiply(c, inv, out=scratch)
-    s = _coeff_inner(scratch, u_c) / (1.0 + 0.25 * tau * gamma)
-    del scratch
-    k = 0.25 * tau * s
-    for b in blocks(c.size, c.itemsize):
-        c_b = c.reshape(-1)[b]
-        c_b -= k * u_c.reshape(-1)[b]
-        c_b *= inv.reshape(-1)[b]
+    s = _coeff_inner(_times_inverse(c, symbol.g2_half, tau, scratch), u_c) / (1.0 + 0.25 * tau * gamma)
+    _times_inverse(c, symbol.g2_half, tau, c, 0.25 * tau * s, u_c)
     # Real diagonal maps of conjugate-symmetric data stay symmetric, so the
     # new field needs no symmetrization.
     phi_new = SpectralField(grid, c)
     phi_new.half.ravel()[grid.zero_index] = 0.0
-    del inv
 
-    r_inc, w_norm_sq = _increments(state, u_c, phi_new, tau)
-    del u_c
-    return _advance(state, r_inc, w_norm_sq, sqrt_f1, phi_new, tau, symbol, params)
+    r_inc, w_norm_sq = _increments(state, u_c, phi_new, tau, b)
+    del u_c, a
+    return _advance(state, r_inc, w_norm_sq, sqrt_f1, phi_new, tau, symbol, params, b)
 
 
 _cn_step_full = cn_step  # the name the benchmark's tracer wraps

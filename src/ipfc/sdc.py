@@ -35,11 +35,12 @@ per mode, 2^n times that on the refined product grid of an n-axis index
 grid) and, during a sweep, its row of the sweep's array in the half layout.
 That row holds the node's right-hand side, then an interval quadrature, then
 a corrected field, which the next pass takes as its node field: 8.4 MB per
-node on the 24^4 grid.  Beside that array a sweep holds a few field-size
-arrays, whatever the node count: the correction eps^n, whose array the
-inverse transform consumes, the samples of eps^{n-1} and eps^n, the
-bracket's two sample arrays, formed in spent ones, and its transform.  Its
-peak is under four field sizes (11.3 MB at 24^4).  `sdc_solve` checks
+node on the 24^4 grid.  Beside that array a sweep holds three field-size
+arrays, whatever the node count: one buffer that takes the correction
+eps^n, then (once the inverse transform has consumed it) ebar's samples,
+and then the bracket's transform; the samples of eps^n; and those of
+eps^{n-1}, which take fbar's.  Its peak is about three field sizes (8.7 MB
+at 24^4).  `sdc_solve` checks
 `block_bytes` against physical memory before a block is predicted.  The
 closed-form quadrature needs no node-count guard: it matches exact interval
 integrals to round-off at thousands of nodes.
@@ -53,13 +54,14 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import blocks, extrapolate
+from ._kernels import blocks, extrapolate, leading
 from .errors import ConfigError, NumericalError
-from .field import PhysicalField, SpectralField, to_physical
+from .field import PhysicalField, SpectralField, to_physical, to_spectral
 from .lattice import OperatorSymbol
 from .model import ModelParams, nprime, nprime_increment
 from .sav_cn import (
-    StepperState, StepReport, _advance, _frozen_ratio, _increments, evolve, restart_state,
+    StepperState, StepReport, _advance, _frozen_ratio, _increments, _resolvent_inverse,
+    _work_buffer, _work_buffers, evolve, restart_state,
 )
 
 __all__ = [
@@ -222,7 +224,11 @@ def correct(
     _quadratures_in_place(ws, S)
 
     factor = states[0].samples.factor
-    eps = np.zeros(ws.shape[1], dtype=complex)
+    # eps^n, then (once sampled) ebar's samples and the bracket's transform,
+    # then eps^{n+1}
+    buf = _work_buffer(states[0])
+    eps = leading(buf, ws.shape[1:], complex)
+    eps.fill(0)
     e_prev = None  # samples of eps^{n-1}; eps^0 = 0 is never sampled
     out = [states[0].phi]
     for n in range(n_t):
@@ -239,33 +245,44 @@ def correct(
         bracket = None
         if n:
             # eps^n is spent once sampled (eps^{n+1} is formed in rhs), so
-            # the inverse transform works in its array
+            # the inverse transform works in its array, which then takes
+            # ebar's samples; fbar's take the spent samples of eps^{n-1}.
             e = to_physical(SpectralField(grid0, eps), factor > 1, consume=True).values
             del eps
-            # Samples are combined in spent arrays: e_prev's takes ebar's,
-            # and the bracket consumes fbar's and ebar's.
-            ebar = e * 1.5 if e_prev is None else extrapolate(e, e_prev, out=e_prev)
-            fbar = extrapolate(a.samples.values, states[n - 1].samples.values)
+            ebar = leading(buf, e.shape)
+            if e_prev is None:
+                np.multiply(e, 1.5, out=ebar)
+            else:
+                extrapolate(e, e_prev, out=ebar)
+            fbar = extrapolate(a.samples.values, states[n - 1].samples.values, out=e_prev)
             e_prev = e
-            bracket = nprime_increment(
+            # the increment takes fbar's array and the spent sum ebar's, which
+            # the bracket's transform overwrites
+            inc = nprime_increment(
                 PhysicalField(grid0, fbar, factor), PhysicalField(grid0, ebar, factor), params
-            ).half.reshape(-1)
+            )
             del fbar, ebar
+            bracket = to_spectral(inc, out=buf).half.reshape(-1)
+            del inc
             bracket[zero] = 0.0
             kappa = (np.sqrt(params.c1) + 0.5 * (a.r_dev + b.r_dev)) / b.sqrt_f1
         for blk in blocks(rhs.size, rhs.itemsize):
             r = rhs[blk]
             if bracket is not None:
                 r -= bracket[blk] * (tau * kappa)
-            # the resolvent, inverted as in cn_step
-            inv = np.add(1.0, (0.5 * tau) * g2[blk])
-            r *= np.reciprocal(inv, out=inv)
+            r *= _resolvent_inverse(g2[blk], tau)  # as cn_step inverts it
         del bracket
         # Every term above is a real diagonal map or a real-weighted sum of
         # exactly symmetric data that is zero off the live modes, so both
         # members of a pair round alike: the correction is symmetric and
-        # masked by construction.  It leaves the row, which takes the field.
-        eps = rhs.copy()
+        # masked by construction.  It leaves the row, which takes the field,
+        # for the buffer; the last row is spent, so the last correction
+        # stays in it.
+        if n < n_t - 1:
+            eps = leading(buf, rhs.shape, complex)
+            eps[...] = rhs
+        else:
+            eps = rhs
         zc = eps[zero]
         if not abs(zc) <= 1e-13:  # also trips on a non-finite correction
             raise NumericalError(f"the correction moved the zero mode to {zc!r}")
@@ -310,14 +327,15 @@ def _refreeze(
     on the stored fields with the stepper's own code, so along the
     predictor's fields this reproduces the stepper bit for bit, and each
     node meets the stepper's finiteness check; two transforms per
-    interval."""
+    interval, in the two work buffers a step takes."""
     states, reports = [start], []
+    a, b = _work_buffers(start)
     for n in range(1, len(phis)):
         tau = float(grid.taus[n - 1])
-        u_c, sqrt_f1 = _frozen_ratio(states[-1], params)
-        increments = _increments(states[-1], u_c, phis[n], tau)
+        u_c, sqrt_f1 = _frozen_ratio(states[-1], params, a, b)
+        increments = _increments(states[-1], u_c, phis[n], tau, b)
         del u_c
-        state, report = _advance(states[-1], *increments, sqrt_f1, phis[n], tau, symbol, params)
+        state, report = _advance(states[-1], *increments, sqrt_f1, phis[n], tau, symbol, params, b)
         states.append(state)
         reports.append(report)
     return SdcTrajectory(grid=grid, states=states, reports=reports)

@@ -60,6 +60,12 @@ def _parent_to_physical(f, dealias):
     return vals
 
 
+def _padded_half_size(grid, factor):
+    """Elements of the half layout of the grid refined `factor` times."""
+    lead = [factor * nj for nj in grid.sizes[:-1]]
+    return int(np.prod(lead, dtype=int)) * (factor * grid.sizes[-1] // 2 + 1)
+
+
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
@@ -93,6 +99,13 @@ def test_to_spectral_matches_rfftn_route_bitwise(case):
     assert _digest(p.values) == before
     assert got.half.tobytes() == _parent_to_spectral(p).tobytes()
 
+    # into a larger buffer of stale values: the same coefficients, which on
+    # the embedding grid stay in the buffer
+    buf = np.full(_padded_half_size(grid, factor) + 3, np.nan + 0j)
+    into = to_spectral(p, out=buf)
+    assert into.half.tobytes() == got.half.tobytes()
+    assert np.shares_memory(into.half, buf) == (factor == 1)
+
 
 
 @settings(deadline=None, max_examples=200)
@@ -111,6 +124,11 @@ def test_to_physical_matches_irfftn_route_bitwise(case):
     spent = SpectralField(grid, half.copy())
     consumed = to_physical(spent, dealias, consume=True)
     assert consumed.values.tobytes() == got.values.tobytes()
+
+    # and so does one whose working array is a larger buffer of stale values
+    work = np.full(_padded_half_size(grid, got.factor) + 3, np.nan + 0j)
+    assert to_physical(f, dealias, work=work).values.tobytes() == got.values.tobytes()
+    assert _digest(f.half) == before
 
 
 @settings(deadline=None, max_examples=100)
